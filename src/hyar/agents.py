@@ -158,24 +158,18 @@ class ReplayBuffer:
         }
 
     def load_checkpoint_entries(self, d: dict, prefix: str = "buffer.") -> None:
-        n = d[f"{prefix}s"].shape[0]
+        n = nk.entry(d, f"{prefix}s", (None,) + self.s.shape[1:]).shape[0]
         if n > self.capacity:
-            raise ConfigError("checkpointed buffer exceeds configured capacity")
+            raise nk.CheckpointError(
+                "checkpointed buffer exceeds configured capacity")
+        cursor = nk.as_int(nk.entry(d, f"{prefix}cursor", ()),
+                           f"{prefix}cursor", 0, self.capacity)
+        for name in ("s", "x", "e", "z", "r", "s_next", "done"):
+            arr = getattr(self, name)
+            arr[:n] = nk.entry(d, prefix + name, (n,) + arr.shape[1:])
+        self.k[:n] = np.rint(nk.entry(d, f"{prefix}k", (n,))).astype(np.int64)
         self.size = n
-        self.cursor = int(d[f"{prefix}cursor"])
-        self.s[:n] = d[f"{prefix}s"]
-        self.k[:n] = np.rint(d[f"{prefix}k"]).astype(np.int64)
-        self.x[:n] = d[f"{prefix}x"]
-        self.e[:n] = d[f"{prefix}e"]
-        self.z[:n] = d[f"{prefix}z"]
-        self.r[:n] = d[f"{prefix}r"]
-        self.s_next[:n] = d[f"{prefix}s_next"]
-        self.done[:n] = d[f"{prefix}done"]
-
-
-def _frozen_vars(params: nk.ParameterSet) -> dict:
-    """Parameter Vars with gradients suppressed (for nets held fixed)."""
-    return {n: nk.Var(params[n], stop=True) for n in params.names()}
+        self.cursor = cursor
 
 
 class AgentNets:
@@ -208,7 +202,7 @@ class AgentNets:
     def _eval(self, spec: nk.LayerSpec, params: nk.ParameterSet,
               x: np.ndarray) -> np.ndarray:
         t = nk.Tape(record=False)
-        out = nk.mlp_apply(t, spec, _frozen_vars(params), nk.const(x))
+        out = nk.mlp_apply(t, spec, params.frozen_vars(), nk.const(x))
         return out.data
 
     def actor_raw(self, s: np.ndarray, target: bool = False) -> np.ndarray:
@@ -258,12 +252,12 @@ class AgentNets:
     def load_checkpoint_entries(self, d: dict) -> None:
         def take(prefix: str, params: nk.ParameterSet) -> None:
             for n in params.names():
-                params[n][...] = d[f"{prefix}.{n}"]
+                nk.restore(d, f"{prefix}.{n}", params[n])
 
         def take_opt(prefix: str, st: nk.AdamState) -> None:
-            st.m[...] = d[f"{prefix}.m"]
-            st.v[...] = d[f"{prefix}.v"]
-            st.t = int(d[f"{prefix}.t"])
+            nk.restore(d, f"{prefix}.m", st.m)
+            nk.restore(d, f"{prefix}.v", st.v)
+            st.t = nk.as_int(nk.entry(d, f"{prefix}.t", ()), f"{prefix}.t")
 
         take("actor", self.actor)
         take("target_actor", self.target_actor)
@@ -298,8 +292,7 @@ def decode_action(repr_model: ReprModel, s: np.ndarray, e: np.ndarray,
     """Nearest-row lookup for k, then decode z conditioned on the table row."""
     k = repr_model.nn_decode(e)
     row = repr_model.table[k]
-    x_rec, _delta = repr_model.decode_and_predict(z, np.asarray(s, np.float64),
-                                                  row)
+    x_rec = repr_model.decode(z, np.asarray(s, np.float64), row)
     pd = repr_model.env_spec.param_dims[k]
     return HybridAction(k, np.clip(x_rec[:pd], -1.0, 1.0))
 
@@ -384,7 +377,7 @@ def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
     raw = nk.mlp_apply(t, nets.actor_spec, pv, nk.const(s))
     lat = t.rescale(raw, bounds.scale, bounds.shift)
     sa = t.concat([nk.const(s), lat])
-    q = nk.mlp_apply(t, nets.critic_spec, _frozen_vars(nets.critics[0]), sa)
+    q = nk.mlp_apply(t, nets.critic_spec, nets.critics[0].frozen_vars(), sa)
     loss = t.neg_mean(q)
     t.backward(loss)
     grads = {n: v.grad for n, v in pv.items() if v.grad is not None}

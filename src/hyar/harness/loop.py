@@ -37,8 +37,12 @@ def _utf8_array(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
 
 
-def _utf8_str(arr: np.ndarray) -> str:
-    return bytes(np.rint(arr).astype(np.uint8)).decode("utf-8")
+def _utf8_str(entries: dict, name: str) -> str:
+    arr = nk.entry(entries, name, (None,))
+    try:
+        return bytes(np.rint(arr).astype(np.uint8)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise nk.CheckpointError(f"{name}: not UTF-8 text") from exc
 
 
 def evaluate(nets: AgentNets, repr_model: ReprModel, bounds: LatentBounds,
@@ -348,42 +352,58 @@ class Trainer:
     def from_checkpoint(cls, path: str,
                         overrides: dict | None = None) -> "Trainer":
         entries = nk.load_checkpoint(path)
-        values = parse_config_lines(_utf8_str(entries["config"]).splitlines(),
+        values = parse_config_lines(_utf8_str(entries, "config").splitlines(),
                                     where=path)
         tr = cls(build_config(values, overrides))
         for n in tr.model.params.names():
-            tr.model.params[n][...] = entries[f"repr.{n}"]
-        tr.model.opt.m[...] = entries["repr_opt.m"]
-        tr.model.opt.v[...] = entries["repr_opt.v"]
-        tr.model.opt.t = int(entries["repr_opt.t"])
+            nk.restore(entries, f"repr.{n}", tr.model.params[n])
+        nk.restore(entries, "repr_opt.m", tr.model.opt.m)
+        nk.restore(entries, "repr_opt.v", tr.model.opt.v)
+        tr.model.opt.t = nk.as_int(nk.entry(entries, "repr_opt.t", ()),
+                                   "repr_opt.t")
         tr.nets.load_checkpoint_entries(entries)
         tr.buffer.load_checkpoint_entries(entries)
-        tr.bounds = LatentBounds(entries["bounds.lower"].copy(),
-                                 entries["bounds.upper"].copy(),
-                                 float(entries["bounds.c"]))
-        sc = dict(zip(_SCALARS, entries["state.scalars"]))
-        tr.env_step = int(sc["env_step"])
-        tr.episode = int(sc["episode"])
-        tr.eval_index = int(sc["eval_index"])
-        tr.last_eval_step = int(sc["last_eval_step"])
-        tr.episodes_since_repr = int(sc["episodes_since_repr"])
-        tr.bounds_refreshes = int(sc["bounds_refreshes"])
-        tr.repr_skipped = int(sc["repr_skipped"])
-        tr.rsc_in_bounds = int(sc["rsc_in_bounds"])
-        tr.rsc_total = int(sc["rsc_total"])
-        tr.nets.fault_count = int(sc["fault_count"])
-        tr.nets.critic_updates = int(sc["critic_updates"])
-        tr.nets.actor_updates = int(sc["actor_updates"])
+        lat = (tr.cfg.d1 + tr.cfg.d2,)
+        try:
+            tr.bounds = LatentBounds(
+                nk.entry(entries, "bounds.lower", lat).copy(),
+                nk.entry(entries, "bounds.upper", lat).copy(),
+                float(nk.entry(entries, "bounds.c", ())))
+        except ValueError as exc:
+            raise nk.CheckpointError(f"bounds: {exc}") from exc
+        sc = dict(zip(_SCALARS, nk.entry(entries, "state.scalars",
+                                         (len(_SCALARS),))))
+
+        def count(name: str, lo: int = 0) -> int:
+            return nk.as_int(sc[name], f"state.scalars {name}", lo)
+
+        tr.env_step = count("env_step")
+        tr.episode = count("episode")
+        tr.eval_index = count("eval_index")
+        tr.last_eval_step = count("last_eval_step", lo=-1)
+        tr.episodes_since_repr = count("episodes_since_repr")
+        tr.bounds_refreshes = count("bounds_refreshes")
+        tr.repr_skipped = count("repr_skipped")
+        tr.rsc_in_bounds = count("rsc_in_bounds")
+        tr.rsc_total = count("rsc_total")
+        tr.nets.fault_count = count("fault_count")
+        tr.nets.critic_updates = count("critic_updates")
+        tr.nets.actor_updates = count("actor_updates")
         md = float(sc["moving_dyn"])
         tr.moving_dyn = None if np.isnan(md) else md
         tr.last_eval = (float(sc["last_eval_return"]),
                         float(sc["last_eval_success"]))
-        for v in entries["state.ma_returns"]:
+        for v in nk.entry(entries, "state.ma_returns", (None,)):
             tr.ma_returns.append(float(v))
-        for v in entries["state.ma_success"]:
+        for v in nk.entry(entries, "state.ma_success", (None,)):
             tr.ma_success.append(float(v))
-        tr.acc.load_array(entries["state.acc"])
-        tr.stream.bit_generator.state = json.loads(
-            _utf8_str(entries["rng.stream"]))
+        tr.acc.load_array(nk.entry(entries, "state.acc",
+                                   (len(IntervalAccum.FIELDS),)))
+        try:
+            tr.stream.bit_generator.state = json.loads(
+                _utf8_str(entries, "rng.stream"))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise nk.CheckpointError(
+                f"rng.stream: bad generator state: {exc}") from exc
         tr.warmed_up = True
         return tr

@@ -12,7 +12,7 @@ from .optim import AdamState, adam_step, soft_update
 from .gaussian import LOG_STD_MIN, LOG_STD_MAX, reparam_sample, kl_std_normal
 from .fdcheck import finite_diff_check
 from .checkpoint import (MAGIC, CheckpointError, save_checkpoint,
-                         load_checkpoint, git_blob_sha1)
+                         load_checkpoint, entry, restore, as_int, git_blob_sha1)
 
 __all__ = [
     "NumericFault", "ShapeError", "TapeUsageError",
@@ -23,5 +23,5 @@ __all__ = [
     "LOG_STD_MIN", "LOG_STD_MAX", "reparam_sample", "kl_std_normal",
     "finite_diff_check",
     "MAGIC", "CheckpointError", "save_checkpoint", "load_checkpoint",
-    "git_blob_sha1",
+    "entry", "restore", "as_int", "git_blob_sha1",
 ]

@@ -54,7 +54,9 @@ class ParameterSet:
     """Named float64 arrays backed by one flat buffer.
 
     Entries are views into .flat, so vectorized optimizer passes over the flat
-    buffer and per-entry reads/writes stay coherent.
+    buffer and per-entry reads/writes stay coherent.  Every writer (Adam,
+    Polyak, checkpoint loads) works in place, so the views, and the stop Vars
+    that frozen_vars() builds over them once, stay valid for the set's life.
     """
 
     def __init__(self, entries: dict):
@@ -70,6 +72,7 @@ class ParameterSet:
             view[...] = entries[name]
             self._views[name] = view
             off += size
+        self._frozen = {n: Var(v, stop=True) for n, v in self._views.items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -79,6 +82,12 @@ class ParameterSet:
 
     def names(self) -> list[str]:
         return list(self._names)
+
+    def frozen_vars(self) -> dict[str, Var]:
+        """The shared name -> stop Var dict over the views, for inference and
+        for nets held fixed inside a training graph.  Ops never give a stop
+        Var a grad, so sharing it across tapes is safe; do not mutate it."""
+        return self._frozen
 
     @property
     def size(self) -> int:
@@ -119,7 +128,8 @@ def init_params(spec: LayerSpec, rng: np.random.Generator,
 
 
 def param_vars(params: ParameterSet) -> dict[str, Var]:
-    """Wrap every entry as a leaf Var (views, not copies)."""
+    """Wrap every entry as a fresh leaf Var (views, not copies); one dict per
+    training tape, since backward() leaves the grads on these Vars."""
     return {n: Var(params[n]) for n in params.names()}
 
 

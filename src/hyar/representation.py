@@ -169,9 +169,6 @@ class ReprModel:
 
     # ---- forward graphs ------------------------------------------------
 
-    def _pvars(self) -> dict[str, nk.Var]:
-        return nk.param_vars(self.params)
-
     def _encode_graph(self, t: nk.Tape, pv, x: nk.Var, cond: nk.Var):
         hx = t.relu(t.affine(x, pv["enc_x.W"], pv["enc_x.b"]))
         hc = t.relu(t.affine(cond, pv["enc_c.W"], pv["enc_c.b"]))
@@ -181,14 +178,17 @@ class ReprModel:
                          nk.LOG_STD_MIN, nk.LOG_STD_MAX)
         return mu, log_std
 
-    def _decode_graph(self, t: nk.Tape, pv, z: nk.Var, cond: nk.Var):
+    def _decode_trunk(self, t: nk.Tape, pv, z: nk.Var, cond: nk.Var):
         hz = t.relu(t.affine(z, pv["dec_z.W"], pv["dec_z.b"]))
         hc = t.relu(t.affine(cond, pv["dec_c.W"], pv["dec_c.b"]))
-        trunk = t.relu(t.affine(t.mul(hz, hc), pv["dec_t.W"], pv["dec_t.b"]))
-        x_rec = t.affine(trunk, pv["dec_x.W"], pv["dec_x.b"])
+        return t.relu(t.affine(t.mul(hz, hc), pv["dec_t.W"], pv["dec_t.b"]))
+
+    def _recon_head(self, t: nk.Tape, pv, trunk: nk.Var):
+        return t.affine(trunk, pv["dec_x.W"], pv["dec_x.b"])
+
+    def _dyn_head(self, t: nk.Tape, pv, trunk: nk.Var):
         cas = t.relu(t.affine(trunk, pv["dec_cas.W"], pv["dec_cas.b"]))
-        delta = t.affine(cas, pv["dec_d.W"], pv["dec_d.b"])
-        return x_rec, delta
+        return t.affine(cas, pv["dec_d.W"], pv["dec_d.b"])
 
     # ---- public inference ---------------------------------------------
 
@@ -203,13 +203,14 @@ class ReprModel:
         xb = xb * self.mask_table[kb]  # padded dims never reach the encoder
         t = nk.Tape(record=False)
         cond = np.concatenate([sb, self.table[kb]], axis=1)
-        mu, ls = self._encode_graph(t, self._pvars(), nk.const(xb), nk.const(cond))
+        mu, ls = self._encode_graph(t, self.params.frozen_vars(), nk.const(xb),
+                                    nk.const(cond))
         if single:
             return mu.data[0], ls.data[0]
         return mu.data, ls.data
 
-    def decode_and_predict(self, z: np.ndarray, s: np.ndarray, e: np.ndarray):
-        """(x_tilde, delta_tilde) from latent z conditioned on (s, e)."""
+    def _inference_trunk(self, z, s, e):
+        """(single, tape, params, trunk) of a no-record decoder pass."""
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
         zb = z[None, :] if single else z
@@ -218,12 +219,24 @@ class ReprModel:
         eb = np.asarray(e, dtype=np.float64)
         eb = eb[None, :] if eb.ndim == 1 else eb
         t = nk.Tape(record=False)
-        cond = np.concatenate([sb, eb], axis=1)
-        x_rec, delta = self._decode_graph(t, self._pvars(), nk.const(zb),
-                                          nk.const(cond))
+        pv = self.params.frozen_vars()
+        cond = nk.const(np.concatenate([sb, eb], axis=1))
+        return single, t, pv, self._decode_trunk(t, pv, nk.const(zb), cond)
+
+    def decode(self, z: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """x_tilde from latent z conditioned on (s, e); no dynamics head."""
+        single, t, pv, trunk = self._inference_trunk(z, s, e)
+        x_rec = self._recon_head(t, pv, trunk).data
+        return x_rec[0] if single else x_rec
+
+    def decode_and_predict(self, z: np.ndarray, s: np.ndarray, e: np.ndarray):
+        """(x_tilde, delta_tilde) from latent z conditioned on (s, e)."""
+        single, t, pv, trunk = self._inference_trunk(z, s, e)
+        x_rec = self._recon_head(t, pv, trunk).data
+        delta = self._dyn_head(t, pv, trunk).data
         if single:
-            return x_rec.data[0], delta.data[0]
-        return x_rec.data, delta.data
+            return x_rec[0], delta[0]
+        return x_rec, delta
 
     # ---- losses and training ------------------------------------------
 
@@ -234,7 +247,7 @@ class ReprModel:
         if B == 0:
             raise ValueError("empty batch")
         t = nk.Tape()
-        pv = self._pvars()
+        pv = nk.param_vars(self.params)
         kb = np.asarray(k, dtype=np.int64)
         rows = t.rows(pv["table"], kb)
         cond = t.concat([nk.const(s), rows])
@@ -244,7 +257,9 @@ class ReprModel:
         x_masked = x_pad * mask
         mu, log_std = self._encode_graph(t, pv, nk.const(x_masked), cond)
         z = t.gaussian(mu, log_std, noise)
-        x_rec, delta = self._decode_graph(t, pv, z, cond)
+        trunk = self._decode_trunk(t, pv, z, cond)
+        x_rec = self._recon_head(t, pv, trunk)
+        delta = self._dyn_head(t, pv, trunk)
         recon = t.mean(t.sq_dist(x_rec, x_masked, mask))
         kl = t.mean(t.kl_std_normal(mu, log_std))
         dyn = t.mean(t.sq_dist(delta, s_next - s))

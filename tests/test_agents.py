@@ -203,6 +203,24 @@ def test_decode_is_pure_and_in_range() -> None:
         assert a1.x.shape == (spec.param_dims[a1.k],)
 
 
+def test_decode_action_matches_decode_and_predict_bits() -> None:
+    """The reconstruction-only decoder gives decode_and_predict's x bit for
+    bit, for every row of a 256-row table (hard_move n=8)."""
+    spec = env_spec("hard_move", 8)
+    model = ReprModel(spec, d1=D1, d2=D2, rng=np.random.default_rng(4))
+    rng = np.random.default_rng(6)
+    for _ in range(64):
+        s = rng.normal(size=spec.state_dim)
+        e = rng.normal(size=D1)
+        z = rng.normal(size=D2)
+        act = decode_action(model, s, e, z)
+        row = model.table[act.k]
+        x_rec, _delta = model.decode_and_predict(z, s, row)
+        pd = spec.param_dims[act.k]
+        assert np.array_equal(act.x, np.clip(x_rec[:pd], -1.0, 1.0))
+        assert np.array_equal(model.decode(z, s, row), x_rec)
+
+
 # ---- representation shift correction -----------------------------------
 
 def test_relabel_noop_when_consistent() -> None:
@@ -451,3 +469,28 @@ def test_nets_checkpoint_roundtrip() -> None:
     assert np.array_equal(other.target_actor.flat, nets.target_actor.flat)
     assert other.opt_actor.t == nets.opt_actor.t
     assert np.array_equal(other.opt_critics[0].m, nets.opt_critics[0].m)
+
+
+def test_cached_frozen_vars_never_gain_a_grad() -> None:
+    """The shared stop Vars of every parameter set stay grad-free through
+    critic, actor and representation updates and every inference call."""
+    spec, cfg, model, nets = small_setup(seed=9)
+    rng = np.random.default_rng(61)
+    batch = consistent_batch(spec, model, 16, rng)
+    b = identity_bounds()
+    sets = [nets.actor, nets.target_actor, *nets.critics,
+            *nets.target_critics, model.params]
+    cached = [p.frozen_vars() for p in sets]
+    for _ in range(2):
+        critic_update(nets, cfg, batch, b)
+        actor_update(nets, cfg, batch, b)
+        model.repr_train_batch(batch.s, batch.k, batch.x, batch.s_next, rng)
+        e, z = select_latent_action(nets, b, batch.s[0])
+        decode_action(model, batch.s[0], e, z)
+        relabel_batch(model, batch, 0.0, rng)
+    assert nets.actor_updates == 2
+    for p, fv in zip(sets, cached):
+        assert p.frozen_vars() is fv
+        for name, v in fv.items():
+            assert v.stop and v.grad is None, name
+            assert np.shares_memory(v.data, p[name]), name

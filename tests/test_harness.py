@@ -314,6 +314,72 @@ def test_cli_train_and_exit_codes(tmp_path, capsys) -> None:
     assert header.endswith("k,dyn_error")
 
 
+# ---- malformed checkpoints ---------------------------------------------
+
+def _entries_edit(edit):
+    """Corrupt a checkpoint by editing its loaded entries and re-saving."""
+    def apply(src: str, dst: str) -> None:
+        entries = nk.load_checkpoint(src)
+        edit(entries)
+        nk.save_checkpoint(dst, entries)
+    return apply
+
+
+def _manifest_edit(line: int, field: int, text: str):
+    """Corrupt one whitespace-separated field of one manifest line."""
+    def apply(src: str, dst: str) -> None:
+        with open(src, "rb") as fh:
+            raw = fh.read()
+        end = raw.index(b"\n", raw.index(b"\nblob ") + 1) + 1
+        lines = raw[:end].decode("utf-8").splitlines()
+        parts = lines[line].split()
+        parts[field] = text
+        lines[line] = " ".join(parts)
+        with open(dst, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8") + raw[end:])
+    return apply
+
+
+def _set(name: str, value):
+    """Replace entry `name` by value, or by value(entries) if callable."""
+    return _entries_edit(lambda d: d.__setitem__(
+        name, value(d) if callable(value) else value))
+
+
+CAPACITY = RunConfig().agent_config().buffer_capacity
+FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_entries_edit(lambda d: d.pop("actor.W0")), id="missing-entry"),
+    pytest.param(_set("actor.W0", np.zeros((3, 3))), id="wrong-shape"),
+    pytest.param(_set("actor.W0", lambda d: d["actor.W0"][:1]),
+                 id="broadcastable-shape"),
+    pytest.param(_manifest_edit(1, 1, "x"), id="entries-count-not-int"),
+    pytest.param(_manifest_edit(FIRST_ENTRY, 2, "0.5"), id="offset-not-int"),
+    pytest.param(_manifest_edit(FIRST_ENTRY, 3, "18.0"), id="count-not-int"),
+    pytest.param(_manifest_edit(BLOB_LINE, 1, "1e6"), id="blob-not-int"),
+    pytest.param(_manifest_edit(FIRST_ENTRY, 2, "-8"), id="negative-offset"),
+    pytest.param(_manifest_edit(FIRST_ENTRY, 3, "-1"), id="negative-count"),
+    pytest.param(_set("buffer.cursor", np.float64(CAPACITY)), id="cursor-at-capacity"),
+    pytest.param(_set("buffer.cursor", np.float64(-1.0)), id="cursor-negative"),
+    pytest.param(_set("buffer.cursor", np.float64(2.5)), id="cursor-not-int"),
+    pytest.param(_set("repr_opt.t", np.float64(np.nan)), id="adam-step-nan"),
+    pytest.param(_set("state.scalars", np.zeros(3)), id="scalars-short"),
+    pytest.param(_set("bounds.lower", lambda d: d["bounds.upper"] + 1.0),
+                 id="bounds-inverted"),
+])
+def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
+    """Every malformed checkpoint is an I/O error (exit 4), never a traceback
+    or a config error."""
+    _tr, out, _summary = tiny_run()
+    bad = str(tmp_path / "bad.ckpt")
+    corrupt(os.path.join(out, "final.ckpt"), bad)
+    assert cli_main(["eval", "--ckpt", bad, "--episodes", "1",
+                     "--seed", "0"]) == 4
+    assert "io error" in capsys.readouterr().err
+
+
 def test_cli_train_uses_config_file(tmp_path) -> None:
     out = str(tmp_path / "fromfile")
     cfg = tmp_path / "run.cfg"

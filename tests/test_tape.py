@@ -139,17 +139,71 @@ def test_tape_consumed_twice_raises() -> None:
         t.backward(y)
 
 
+def _op_calls(rng: np.random.Generator, lead: tuple) -> dict:
+    """name -> fn(tape) building one op on inputs of leading shape `lead`."""
+    k, m = 5, 3
+    x, y = rng.normal(size=lead + (k,)), rng.normal(size=lead + (k,))
+    w, b = rng.normal(size=(m, k)), rng.normal(size=m)
+    table = rng.normal(size=(7, k))
+    idx = rng.integers(0, 7, size=lead) if lead else 4
+    mask = (rng.random(lead + (k,)) < 0.5).astype(np.float64)
+
+    def lf(a):
+        return nk.leaf(a.copy())
+    return {
+        "affine": lambda t: t.affine(lf(x), lf(w), lf(b)),
+        "relu": lambda t: t.relu(lf(x)),
+        "tanh": lambda t: t.tanh(lf(x)),
+        "exp": lambda t: t.exp(lf(x)),
+        "clip": lambda t: t.clip(lf(x), -0.5, 0.5),
+        "add": lambda t: t.add(lf(x), lf(y)),
+        "sub": lambda t: t.sub(lf(x), lf(y)),
+        "mul": lambda t: t.mul(lf(x), lf(y)),
+        "cmul": lambda t: t.cmul(lf(x), y),
+        "rescale": lambda t: t.rescale(lf(x), y, x * 0.5),
+        "concat": lambda t: t.concat([lf(x), nk.const(y), lf(x)]),
+        "rows": lambda t: t.rows(lf(table), idx),
+        "gaussian": lambda t: t.gaussian(lf(x), lf(y * 0.1), x * y),
+        "kl_std_normal": lambda t: t.kl_std_normal(lf(x), lf(y * 0.1)),
+        "sq_dist": lambda t: t.sq_dist(lf(x), y, mask),
+        "msq_to": lambda t: t.msq_to(lf(x), y),
+        "mean": lambda t: t.mean(lf(x)),
+        "neg_mean": lambda t: t.neg_mean(lf(x)),
+        "add_scaled": lambda t: t.add_scaled(lf(x), lf(y), 0.3),
+    }
+
+
+def test_op_table_covers_every_tape_op() -> None:
+    ops = {n for n, f in vars(nk.Tape).items()
+           if callable(f) and not n.startswith("_") and n != "backward"}
+    assert ops == set(_op_calls(np.random.default_rng(0), (1,)))
+
+
 def test_norecord_tape_matches_forward_and_rejects_backward() -> None:
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 4))
-    w = rng.normal(size=(3, 4))
-    b = rng.normal(size=3)
-    t1, t2 = nk.Tape(), nk.Tape(record=False)
-    y1 = t1.relu(t1.affine(nk.leaf(x), nk.leaf(w), nk.leaf(b)))
-    y2 = t2.relu(t2.affine(nk.leaf(x), nk.leaf(w), nk.leaf(b)))
-    assert np.array_equal(y1.data, y2.data)
+    """Every op gives the recording tape's output bit for bit without
+    recording, on 1-D, batch-1 and batch-128 inputs."""
+    for lead in [(), (1,), (128,)]:
+        for name, build in _op_calls(np.random.default_rng(3), lead).items():
+            t1, t2 = nk.Tape(), nk.Tape(record=False)
+            y1, y2 = build(t1), build(t2)
+            assert np.shape(y1.data) == np.shape(y2.data), (name, lead)
+            assert np.array_equal(y1.data, y2.data), (name, lead)
+            assert len(t1._steps) == 1 and not t2._steps, (name, lead)
     with pytest.raises(nk.TapeUsageError):
         t2.backward(y2)
+
+
+def test_stop_vars_never_gain_a_grad() -> None:
+    """A stop Var is skipped by every op that accumulates into its input."""
+    rng = np.random.default_rng(5)
+    table = nk.const(rng.normal(size=(4, 3)))
+    a = nk.const(rng.normal(size=(2, 3)))
+    x = nk.leaf(rng.normal(size=(2, 3)))
+    t = nk.Tape()
+    y = t.mul(t.relu(t.rows(table, [0, 2])), t.add(a, x))
+    t.backward(t.mean(y))
+    assert table.grad is None and a.grad is None
+    assert x.grad is not None
 
 
 def test_affine_shape_mismatch() -> None:
