@@ -11,7 +11,7 @@ from hyar.envs.platform import GAPS, PLATFORMS
 
 
 def describe(env_id, n=None):
-    spec = envs.env_spec(env_id, n)
+    spec = envs.make(env_id, n).spec()
     dims = spec.param_dims
     summary = (f"{dims[0]} each" if len(set(dims)) == 1
                else ",".join(str(d) for d in dims))

@@ -9,7 +9,7 @@ continuous resample) happens on sampled batch copies, never on the buffer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,6 +100,9 @@ class Batch:
         return self.s.shape[0]
 
 
+COLUMNS = tuple(f.name for f in fields(Batch))  # buffer arrays, in Batch order
+
+
 class ReplayBuffer:
     """Preallocated ring buffer of hybrid transitions with executed latents."""
 
@@ -140,36 +143,30 @@ class ReplayBuffer:
         if n > self.size:
             raise ReplayUsageError(f"asked for {n} of {self.size} stored")
         idx = rng.integers(0, self.size, size=n)
-        return Batch(s=self.s[idx], k=self.k[idx], x=self.x[idx],
-                     e=self.e[idx], z=self.z[idx], r=self.r[idx],
-                     s_next=self.s_next[idx], done=self.done[idx])
+        return Batch(*(getattr(self, c)[idx] for c in COLUMNS))
 
-    def checkpoint_entries(self, prefix: str = "buffer.") -> dict:
-        return {
-            f"{prefix}s": self.s[:self.size],
-            f"{prefix}k": self.k[:self.size].astype(np.float64),
-            f"{prefix}x": self.x[:self.size],
-            f"{prefix}e": self.e[:self.size],
-            f"{prefix}z": self.z[:self.size],
-            f"{prefix}r": self.r[:self.size],
-            f"{prefix}s_next": self.s_next[:self.size],
-            f"{prefix}done": self.done[:self.size],
-            f"{prefix}cursor": np.float64(self.cursor),
-        }
+    def slot(self, prefix: str) -> nk.Slot:
+        """Checkpoint slot of the stored rows (one entry per Batch column,
+        cut to size) and the write cursor."""
+        def save() -> dict:
+            out = {f"{prefix}.{c}": getattr(self, c)[:self.size]
+                   for c in COLUMNS}
+            out[f"{prefix}.cursor"] = np.float64(self.cursor)
+            return out
 
-    def load_checkpoint_entries(self, d: dict, prefix: str = "buffer.") -> None:
-        n = nk.entry(d, f"{prefix}s", (None,) + self.s.shape[1:]).shape[0]
-        if n > self.capacity:
-            raise nk.CheckpointError(
-                "checkpointed buffer exceeds configured capacity")
-        cursor = nk.as_int(nk.entry(d, f"{prefix}cursor", ()),
-                           f"{prefix}cursor", 0, self.capacity)
-        for name in ("s", "x", "e", "z", "r", "s_next", "done"):
-            arr = getattr(self, name)
-            arr[:n] = nk.entry(d, prefix + name, (n,) + arr.shape[1:])
-        self.k[:n] = np.rint(nk.entry(d, f"{prefix}k", (n,))).astype(np.int64)
-        self.size = n
-        self.cursor = cursor
+        def load(d: dict) -> None:
+            n = nk.entry(d, f"{prefix}.s", (None,) + self.s.shape[1:]).shape[0]
+            if n > self.capacity:
+                raise nk.CheckpointError(
+                    "checkpointed buffer exceeds configured capacity")
+            cursor = nk.as_int(nk.entry(d, f"{prefix}.cursor", ()),
+                               f"{prefix}.cursor", 0, self.capacity)
+            for c in COLUMNS:
+                arr = getattr(self, c)
+                v = nk.entry(d, f"{prefix}.{c}", (n,) + arr.shape[1:])
+                arr[:n] = np.rint(v) if arr.dtype.kind == "i" else v
+            self.size, self.cursor = n, cursor
+        return nk.Slot(save, load)
 
 
 class AgentNets:
@@ -225,48 +222,16 @@ class AgentNets:
         for tc, c in zip(self.target_critics, self.critics):
             nk.soft_update(tc, c, tau_critic)
 
-    # ---- checkpointing -------------------------------------------------
-
-    def checkpoint_entries(self) -> dict:
-        out: dict = {}
-
-        def put(prefix: str, params: nk.ParameterSet) -> None:
-            for n in params.names():
-                out[f"{prefix}.{n}"] = params[n]
-
-        def put_opt(prefix: str, st: nk.AdamState) -> None:
-            out[f"{prefix}.m"] = st.m
-            out[f"{prefix}.v"] = st.v
-            out[f"{prefix}.t"] = np.float64(st.t)
-
-        put("actor", self.actor)
-        put("target_actor", self.target_actor)
-        put_opt("opt_actor", self.opt_actor)
+    def slots(self) -> list[nk.Slot]:
+        """Checkpoint slots of every parameter set and Adam state."""
+        out = (self.actor.slots("actor")
+               + self.target_actor.slots("target_actor")
+               + self.opt_actor.slots("opt_actor"))
         for i, (c, tc, oc) in enumerate(zip(self.critics, self.target_critics,
                                             self.opt_critics)):
-            put(f"critic{i}", c)
-            put(f"target_critic{i}", tc)
-            put_opt(f"opt_critic{i}", oc)
+            out += (c.slots(f"critic{i}") + tc.slots(f"target_critic{i}")
+                    + oc.slots(f"opt_critic{i}"))
         return out
-
-    def load_checkpoint_entries(self, d: dict) -> None:
-        def take(prefix: str, params: nk.ParameterSet) -> None:
-            for n in params.names():
-                nk.restore(d, f"{prefix}.{n}", params[n])
-
-        def take_opt(prefix: str, st: nk.AdamState) -> None:
-            nk.restore(d, f"{prefix}.m", st.m)
-            nk.restore(d, f"{prefix}.v", st.v)
-            st.t = nk.as_int(nk.entry(d, f"{prefix}.t", ()), f"{prefix}.t")
-
-        take("actor", self.actor)
-        take("target_actor", self.target_actor)
-        take_opt("opt_actor", self.opt_actor)
-        for i, (c, tc, oc) in enumerate(zip(self.critics, self.target_critics,
-                                            self.opt_critics)):
-            take(f"critic{i}", c)
-            take(f"target_critic{i}", tc)
-            take_opt(f"opt_critic{i}", oc)
 
 
 # ---- action selection and decoding ------------------------------------
@@ -274,15 +239,14 @@ class AgentNets:
 
 def select_latent_action(nets: AgentNets, bounds: LatentBounds, s: np.ndarray,
                          explore: bool = False,
-                         rng: np.random.Generator | None = None,
-                         sigma: float | None = None):
+                         rng: np.random.Generator | None = None):
     """(e, z) for one state: tanh actor, noise pre-rescale, clip, rescale."""
     raw = nets.actor_raw(s)
     if explore:
         if rng is None:
             raise ValueError("explore=True needs an rng")
-        n = sigma if sigma is not None else nets.config.expl_sigma
-        raw = np.clip(raw + rng.normal(0.0, n, size=raw.shape), -1.0, 1.0)
+        raw = np.clip(raw + rng.normal(0.0, nets.config.expl_sigma,
+                                       size=raw.shape), -1.0, 1.0)
     lat = bounds.rescale(raw)
     return lat[:nets.d1], lat[nets.d1:]
 

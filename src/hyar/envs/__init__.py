@@ -4,10 +4,9 @@ from __future__ import annotations
 from ..errors import ConfigError
 from .base import EnvSpec, EnvUsageError, HybridAction, HybridEnv, StepResult
 from .catch_point import CatchPointEnv
-from .goal import GoalEnv, goal_spec
-from .hard_move import HardMoveEnv, displacement, hard_move_spec
+from .goal import GoalEnv
+from .hard_move import HardMoveEnv, displacement
 from .platform import PlatformEnv
-from .trajectory import TrajectoryWriter
 
 ENV_IDS = ("platform", "goal", "hard_goal", "catch_point", "hard_move")
 
@@ -29,25 +28,8 @@ def make(env_id: str, n: int | None = None) -> HybridEnv:
     raise ConfigError(f"unknown env id {env_id!r}; expected one of {ENV_IDS}")
 
 
-def env_spec(env_id: str, n: int | None = None) -> EnvSpec:
-    """Static spec without instantiating (hard_move still needs n)."""
-    if env_id == "platform":
-        from .platform import SPEC
-        return SPEC
-    if env_id in ("goal", "hard_goal"):
-        return goal_spec(hard=env_id == "hard_goal")
-    if env_id == "catch_point":
-        from .catch_point import SPEC
-        return SPEC
-    if env_id == "hard_move":
-        if n is None:
-            raise ConfigError("hard_move needs env.n")
-        return hard_move_spec(int(n))
-    raise ConfigError(f"unknown env id {env_id!r}; expected one of {ENV_IDS}")
-
-
 __all__ = [
     "ConfigError", "EnvSpec", "EnvUsageError", "HybridAction", "HybridEnv",
-    "StepResult", "TrajectoryWriter", "ENV_IDS", "make", "env_spec",
+    "StepResult", "ENV_IDS", "make",
     "displacement", "CatchPointEnv", "GoalEnv", "HardMoveEnv", "PlatformEnv",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..agents import AgentConfig
-from ..envs import env_spec
+from ..envs import make
 from ..errors import ConfigError
 
 ALGOS = ("hyar-td3", "hyar-ddpg")
@@ -76,10 +76,8 @@ KEYS = {
     "agent.rsc_threshold_mult": ("rsc_threshold_mult", _opt_float),
 }
 
-_AGENT_FIELDS = ("gamma", "actor_lr", "critic_lr", "tau_actor", "tau_critic",
-                 "expl_sigma", "batch_size", "policy_delay", "buffer_capacity",
-                 "target_noise", "target_noise_clip", "rsc_noise",
-                 "rsc_redraws", "rsc_threshold_mult")
+_AGENT_FIELDS = tuple(field for key, (field, _parse) in KEYS.items()
+                      if key.startswith("agent."))
 
 
 @dataclass
@@ -135,7 +133,7 @@ class RunConfig:
         return preset(**overrides)
 
     def validate(self) -> None:
-        spec = env_spec(self.env_id, self.env_n)  # raises ConfigError itself
+        spec = make(self.env_id, self.env_n).spec()  # raises ConfigError itself
         acfg = self.agent_config()
         if self.seed < 0:
             raise ConfigError("run.seed must be >= 0")

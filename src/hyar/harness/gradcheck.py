@@ -12,7 +12,7 @@ import numpy as np
 from .. import numkit as nk
 from ..agents import (AgentConfig, AgentNets, Batch, actor_loss_grads,
                       critic_loss_grads, td_targets)
-from ..envs import env_spec
+from ..envs import make
 from ..representation import LatentBounds, ReprModel
 
 TOLERANCE = 1e-4
@@ -23,7 +23,7 @@ _GROUP_LABELS = {"zeta": "repr.table", "phi": "repr.encoder",
 
 def gradcheck_suite(samples_per_entry: int = 4, seed: int = 0) -> dict:
     """Name -> max relative error per checked head; key "max" is the worst."""
-    spec = env_spec("platform")
+    spec = make("platform").spec()
     rng = np.random.default_rng(seed)
     B = 8
     results: dict[str, float] = {}

@@ -7,10 +7,16 @@ state ever needs serializing.  All stochastic training decisions draw from a
 single stream generator whose state rides along in the checkpoint; env resets
 and evaluations use seeds derived statelessly from (run seed, counter), which
 together make resumed runs bit-identical to uninterrupted ones.
+
+Checkpointed run state is declared once, in Trainer._slots(): each slot
+names its entries and both saves and restores them, so save_checkpoint and
+from_checkpoint are derived from that one list.  The owners declare their
+own parts (ParameterSet/AdamState.slots, AgentNets.slots, ReplayBuffer.slot).
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import deque
 
@@ -19,12 +25,13 @@ import numpy as np
 from .. import numkit as nk
 from ..agents import (AgentNets, ReplayBuffer, actor_update, critic_update,
                       decode_action, relabel_batch, select_latent_action)
-from ..envs import HybridAction, env_spec, make
+from ..envs import HybridAction, make
 from ..representation import LatentBounds, ReprModel
 from .config import RunConfig, build_config, parse_config_lines
 from .metrics import EVAL_HEADER, METRICS_HEADER, CsvLog, write_manifest
 
 BOUNDS_SAMPLE_CAP = 2000  # latents fed to each percentile refresh
+CONFIG_ENTRY = "config"  # read first: it builds the Trainer that loads the rest
 
 
 def derive_seed(*parts) -> int:
@@ -43,6 +50,24 @@ def _utf8_str(entries: dict, name: str) -> str:
         return bytes(np.rint(arr).astype(np.uint8)).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise nk.CheckpointError(f"{name}: not UTF-8 text") from exc
+
+
+def _deque_slot(name: str, dq: deque) -> nk.Slot:
+    return nk.Slot(lambda: {name: np.array(list(dq))},
+                   lambda d: dq.extend(float(v) for v in
+                                       nk.entry(d, name, (None,))))
+
+
+def _rng_slot(name: str, gen: np.random.Generator) -> nk.Slot:
+    def load(d: dict) -> None:
+        try:
+            gen.bit_generator.state = json.loads(_utf8_str(d, name))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise nk.CheckpointError(
+                f"{name}: bad generator state: {exc}") from exc
+    return nk.Slot(
+        lambda: {name: _utf8_array(json.dumps(gen.bit_generator.state))},
+        load)
 
 
 def evaluate(nets: AgentNets, repr_model: ReprModel, bounds: LatentBounds,
@@ -89,20 +114,6 @@ class IntervalAccum:
             return float("nan")
         return self.cover_in / self.cover_n
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in self.FIELDS])
-
-    def load_array(self, a: np.ndarray) -> None:
-        for f, v in zip(self.FIELDS, a):
-            setattr(self, f, float(v))
-
-
-_SCALARS = ("env_step", "episode", "eval_index", "last_eval_step",
-            "episodes_since_repr", "bounds_refreshes", "repr_skipped",
-            "rsc_in_bounds", "rsc_total", "fault_count", "critic_updates",
-            "actor_updates", "moving_dyn", "last_eval_return",
-            "last_eval_success")
-
 
 class Trainer:
     """Owns one run end to end: warm-up, pre-train, RL loop, eval, checkpoint."""
@@ -111,8 +122,8 @@ class Trainer:
         config.validate()
         self.cfg = config
         self.acfg = config.agent_config()
-        self.spec = env_spec(config.env_id, config.env_n)
         self.env = make(config.env_id, config.env_n)
+        self.spec = self.env.spec()
         self.model = ReprModel(
             self.spec, d1=config.d1, d2=config.d2, lr=config.repr_lr,
             rng=np.random.default_rng(derive_seed(config.seed, 1)))
@@ -124,13 +135,14 @@ class Trainer:
                                    config.d1, config.d2)
         self.stream = np.random.default_rng(derive_seed(config.seed, 3))
         self.bounds: LatentBounds | None = None
-        self.moving_dyn: float | None = None
+        self.moving_dyn = float("nan")  # dynamics-loss EMA; NaN: no update yet
         self.warmed_up = False
         self.env_step = 0
         self.episode = 0
         self.eval_index = 0
         self.last_eval_step = -1
-        self.last_eval = (float("nan"), float("nan"))
+        self.last_eval_return = float("nan")
+        self.last_eval_success = float("nan")
         self.episodes_since_repr = 0
         self.bounds_refreshes = 0
         self.repr_skipped = 0
@@ -163,7 +175,7 @@ class Trainer:
             self.repr_skipped += 1
             return
         d = self.cfg.ema_decay
-        self.moving_dyn = (rec.dyn if self.moving_dyn is None
+        self.moving_dyn = (rec.dyn if math.isnan(self.moving_dyn)
                            else d * self.moving_dyn + (1.0 - d) * rec.dyn)
         self.acc.vae_sum += rec.vae
         self.acc.vae_n += 1
@@ -207,7 +219,7 @@ class Trainer:
     def _rl_update(self) -> None:
         acfg = self.acfg
         batch = self.buffer.sample(acfg.batch_size, self.stream)
-        thr = float("inf") if self.moving_dyn is None else self.moving_dyn
+        thr = float("inf") if math.isnan(self.moving_dyn) else self.moving_dyn
         rb, _stats = relabel_batch(self.model, batch, thr, self.stream,
                                    noise=acfg.rsc_noise,
                                    redraws=acfg.rsc_redraws,
@@ -226,9 +238,9 @@ class Trainer:
 
     def _run_eval(self) -> None:
         ev = make(self.cfg.env_id, self.cfg.env_n)
-        self.last_eval = evaluate(self.nets, self.model, self.bounds, ev,
-                                  self.cfg.eval_episodes,
-                                  derive_seed(self.cfg.seed, 5, self.eval_index))
+        self.last_eval_return, self.last_eval_success = evaluate(
+            self.nets, self.model, self.bounds, ev, self.cfg.eval_episodes,
+            derive_seed(self.cfg.seed, 5, self.eval_index))
         self.eval_index += 1
         self.last_eval_step = self.env_step
         ma_ret = (float(np.mean(self.ma_returns)) if self.ma_returns
@@ -241,8 +253,8 @@ class Trainer:
                               self.acc.mean("critic"), self.acc.mean("actor"),
                               self.acc.coverage()])
         if self.evallog is not None:
-            self.evallog.row([self.env_step, self.last_eval[0],
-                              self.last_eval[1]])
+            self.evallog.row([self.env_step, self.last_eval_return,
+                              self.last_eval_success])
         self.acc.reset()
 
     def _training_episode(self) -> None:
@@ -305,105 +317,66 @@ class Trainer:
         sha = write_manifest(os.path.join(cfg.out_dir, "run-manifest.txt"),
                              cfg, "final.ckpt", ckpt)
         return {"env_step": self.env_step, "episodes": self.episode,
-                "mean_return": self.last_eval[0],
-                "success_rate": self.last_eval[1],
+                "mean_return": self.last_eval_return,
+                "success_rate": self.last_eval_success,
                 "checkpoint": ckpt, "checkpoint_sha1": sha}
 
     # ---- checkpointing -------------------------------------------------
 
+    def _bounds_slot(self) -> nk.Slot:
+        lat = (self.cfg.d1 + self.cfg.d2,)
+        shapes = {"bounds.lower": lat, "bounds.upper": lat, "bounds.c": ()}
+
+        def save() -> dict:
+            if self.bounds is None:
+                raise nk.CheckpointError("cannot checkpoint before warm-up")
+            b = self.bounds
+            return dict(zip(shapes, (b.lower, b.upper, np.float64(b.c))))
+
+        def load(d: dict) -> None:
+            try:
+                self.bounds = LatentBounds(*(nk.entry(d, n, shape).copy()
+                                             for n, shape in shapes.items()))
+            except ValueError as exc:
+                raise nk.CheckpointError(f"bounds: {exc}") from exc
+        return nk.Slot(save, load)
+
+    def _slots(self) -> list[nk.Slot]:
+        """The run state, in checkpoint order."""
+        scalars = [(self, attr, lo) for attr, lo in (
+            ("env_step", 0), ("episode", 0), ("eval_index", 0),
+            ("last_eval_step", -1), ("episodes_since_repr", 0),
+            ("bounds_refreshes", 0), ("repr_skipped", 0),
+            ("rsc_in_bounds", 0), ("rsc_total", 0))]
+        scalars += [(self.nets, attr, 0) for attr in
+                    ("fault_count", "critic_updates", "actor_updates")]
+        scalars += [(self, attr, None) for attr in
+                    ("moving_dyn", "last_eval_return", "last_eval_success")]
+        return [*self.model.params.slots("repr"),
+                *self.model.opt.slots("repr_opt"),
+                *self.nets.slots(),
+                self.buffer.slot("buffer"),
+                self._bounds_slot(),
+                nk.fields_slot("state.scalars", scalars),
+                _deque_slot("state.ma_returns", self.ma_returns),
+                _deque_slot("state.ma_success", self.ma_success),
+                nk.fields_slot("state.acc", [(self.acc, f, None)
+                                             for f in IntervalAccum.FIELDS]),
+                _rng_slot("rng.stream", self.stream)]
+
     def save_checkpoint(self, path: str) -> None:
-        entries: dict = {}
-        for n in self.model.params.names():
-            entries[f"repr.{n}"] = self.model.params[n]
-        entries["repr_opt.m"] = self.model.opt.m
-        entries["repr_opt.v"] = self.model.opt.v
-        entries["repr_opt.t"] = np.float64(self.model.opt.t)
-        entries.update(self.nets.checkpoint_entries())
-        entries.update(self.buffer.checkpoint_entries())
-        if self.bounds is None:
-            raise nk.CheckpointError("cannot checkpoint before warm-up")
-        entries["bounds.lower"] = self.bounds.lower
-        entries["bounds.upper"] = self.bounds.upper
-        entries["bounds.c"] = np.float64(self.bounds.c)
-        scalars = dict(
-            env_step=self.env_step, episode=self.episode,
-            eval_index=self.eval_index, last_eval_step=self.last_eval_step,
-            episodes_since_repr=self.episodes_since_repr,
-            bounds_refreshes=self.bounds_refreshes,
-            repr_skipped=self.repr_skipped,
-            rsc_in_bounds=self.rsc_in_bounds, rsc_total=self.rsc_total,
-            fault_count=self.nets.fault_count,
-            critic_updates=self.nets.critic_updates,
-            actor_updates=self.nets.actor_updates,
-            moving_dyn=(float("nan") if self.moving_dyn is None
-                        else self.moving_dyn),
-            last_eval_return=self.last_eval[0],
-            last_eval_success=self.last_eval[1])
-        entries["state.scalars"] = np.array([scalars[k] for k in _SCALARS])
-        entries["state.ma_returns"] = np.array(list(self.ma_returns))
-        entries["state.ma_success"] = np.array(list(self.ma_success))
-        entries["state.acc"] = self.acc.as_array()
-        entries["rng.stream"] = _utf8_array(
-            json.dumps(self.stream.bit_generator.state))
-        entries["config"] = _utf8_array(self.cfg.config_text())
+        entries = nk.gather(self._slots())
+        entries[CONFIG_ENTRY] = _utf8_array(self.cfg.config_text())
         nk.save_checkpoint(path, entries)
 
     @classmethod
     def from_checkpoint(cls, path: str,
                         overrides: dict | None = None) -> "Trainer":
         entries = nk.load_checkpoint(path)
-        values = parse_config_lines(_utf8_str(entries, "config").splitlines(),
-                                    where=path)
+        values = parse_config_lines(
+            _utf8_str(entries, CONFIG_ENTRY).splitlines(), where=path)
         tr = cls(build_config(values, overrides))
-        for n in tr.model.params.names():
-            nk.restore(entries, f"repr.{n}", tr.model.params[n])
-        nk.restore(entries, "repr_opt.m", tr.model.opt.m)
-        nk.restore(entries, "repr_opt.v", tr.model.opt.v)
-        tr.model.opt.t = nk.as_int(nk.entry(entries, "repr_opt.t", ()),
-                                   "repr_opt.t")
-        tr.nets.load_checkpoint_entries(entries)
-        tr.buffer.load_checkpoint_entries(entries)
-        lat = (tr.cfg.d1 + tr.cfg.d2,)
-        try:
-            tr.bounds = LatentBounds(
-                nk.entry(entries, "bounds.lower", lat).copy(),
-                nk.entry(entries, "bounds.upper", lat).copy(),
-                float(nk.entry(entries, "bounds.c", ())))
-        except ValueError as exc:
-            raise nk.CheckpointError(f"bounds: {exc}") from exc
-        sc = dict(zip(_SCALARS, nk.entry(entries, "state.scalars",
-                                         (len(_SCALARS),))))
-
-        def count(name: str, lo: int = 0) -> int:
-            return nk.as_int(sc[name], f"state.scalars {name}", lo)
-
-        tr.env_step = count("env_step")
-        tr.episode = count("episode")
-        tr.eval_index = count("eval_index")
-        tr.last_eval_step = count("last_eval_step", lo=-1)
-        tr.episodes_since_repr = count("episodes_since_repr")
-        tr.bounds_refreshes = count("bounds_refreshes")
-        tr.repr_skipped = count("repr_skipped")
-        tr.rsc_in_bounds = count("rsc_in_bounds")
-        tr.rsc_total = count("rsc_total")
-        tr.nets.fault_count = count("fault_count")
-        tr.nets.critic_updates = count("critic_updates")
-        tr.nets.actor_updates = count("actor_updates")
-        md = float(sc["moving_dyn"])
-        tr.moving_dyn = None if np.isnan(md) else md
-        tr.last_eval = (float(sc["last_eval_return"]),
-                        float(sc["last_eval_success"]))
-        for v in nk.entry(entries, "state.ma_returns", (None,)):
-            tr.ma_returns.append(float(v))
-        for v in nk.entry(entries, "state.ma_success", (None,)):
-            tr.ma_success.append(float(v))
-        tr.acc.load_array(nk.entry(entries, "state.acc",
-                                   (len(IntervalAccum.FIELDS),)))
-        try:
-            tr.stream.bit_generator.state = json.loads(
-                _utf8_str(entries, "rng.stream"))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise nk.CheckpointError(
-                f"rng.stream: bad generator state: {exc}") from exc
+        for slot in tr._slots():
+            slot.load(entries)
         tr.warmed_up = True
         return tr

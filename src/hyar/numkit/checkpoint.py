@@ -13,10 +13,15 @@ the caller.  Names are whitespace-free.  Loading a malformed file raises
 CheckpointError (an OSError, so it maps to the I/O exit code); so do entry(),
 restore() and as_int(), which restorers use to read a loaded dict, when an
 entry is missing, has the wrong shape or is not a count in range.
+
+A Slot names one piece of run state once and carries both directions:
+save() gives its entries, load() restores them.  A list of slots is a
+checkpoint's whole layout; gather() turns it into the entries to save.
 """
 from __future__ import annotations
 
 import hashlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -150,6 +155,45 @@ def as_int(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     if not v.is_integer() or v < lo or (hi is not None and v >= hi):
         raise CheckpointError(f"{name}: {v!r} is not an integer in [{lo}, {hi})")
     return int(v)
+
+
+class Slot(NamedTuple):
+    """save() -> {entry name: array} in file order; load(entries) restores
+    the same state from a loaded dict, raising CheckpointError if malformed."""
+
+    save: Callable[[], dict]
+    load: Callable[[dict], None]
+
+
+def gather(slots) -> dict:
+    """The entries of every slot, in slot order."""
+    out: dict = {}
+    for slot in slots:
+        out.update(slot.save())
+    return out
+
+
+def array_slot(name: str, arr: np.ndarray) -> Slot:
+    """An array that loads back in place, at exactly its own shape."""
+    return Slot(lambda: {name: arr}, lambda d: restore(d, name, arr))
+
+
+def count_slot(name: str, owner, attr: str) -> Slot:
+    """An integer attribute >= 0, stored as a 0-d entry."""
+    return Slot(lambda: {name: np.float64(getattr(owner, attr))},
+                lambda d: setattr(owner, attr,
+                                  as_int(entry(d, name, ()), name)))
+
+
+def fields_slot(name: str, rows) -> Slot:
+    """Attributes stored together as one vector.  rows: (owner, attr, lo);
+    lo None marks a float, otherwise the value is an integer count >= lo."""
+    def load(d: dict) -> None:
+        for (owner, attr, lo), v in zip(rows, entry(d, name, (len(rows),))):
+            setattr(owner, attr,
+                    float(v) if lo is None else as_int(v, f"{name} {attr}", lo))
+    return Slot(lambda: {name: np.array([getattr(o, a) for o, a, _ in rows],
+                                        dtype=np.float64)}, load)
 
 
 def git_blob_sha1(path: str) -> str:

@@ -1,12 +1,13 @@
-"""MLP building blocks: layer specs, flat-backed parameter sets, forward/backward."""
+"""MLP building blocks: layer specs, flat-backed parameter sets, forward pass."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import Slot, array_slot
 from .errors import ShapeError
-from .tape import Tape, Var, leaf
+from .tape import Tape, Var
 
 _ACTIVATIONS = ("relu", "tanh", "none")
 
@@ -89,6 +90,10 @@ class ParameterSet:
         Var a grad, so sharing it across tapes is safe; do not mutate it."""
         return self._frozen
 
+    def slots(self, prefix: str) -> list[Slot]:
+        """One checkpoint slot per entry, named prefix.name, loaded in place."""
+        return [array_slot(f"{prefix}.{n}", v) for n, v in self._views.items()]
+
     @property
     def size(self) -> int:
         return self.flat.size
@@ -147,35 +152,3 @@ def mlp_apply(tape: Tape, spec: LayerSpec, pvars: dict[str, Var], x: Var,
         elif act == "tanh":
             h = tape.tanh(h)
     return h
-
-
-class GradTape:
-    """Handle returned by mlp_forward; feed to backward() exactly once."""
-
-    def __init__(self, tape: Tape, out: Var, pvars: dict[str, Var], x: Var):
-        self._tape = tape
-        self._out = out
-        self._pvars = pvars
-        self._x = x
-        self.input_grad: np.ndarray | None = None
-
-
-def mlp_forward(spec: LayerSpec, params: ParameterSet, x: np.ndarray):
-    """Standalone forward pass.  Returns (y, GradTape)."""
-    tape = Tape()
-    xv = leaf(x)
-    pv = param_vars(params)
-    out = mlp_apply(tape, spec, pv, xv)
-    return out.data, GradTape(tape, out, pv, xv)
-
-
-def backward(gt: GradTape, upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Pull gradients for every parameter; also fills gt.input_grad."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if np.shape(upstream) != np.shape(gt._out.data):
-        raise ShapeError(
-            f"upstream shape {np.shape(upstream)} vs output {np.shape(gt._out.data)}")
-    gt._tape.backward(gt._out, seed=upstream)
-    gt.input_grad = gt._x.grad
-    return {n: v.grad if v.grad is not None else np.zeros_like(v.data)
-            for n, v in gt._pvars.items()}

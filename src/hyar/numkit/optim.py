@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from .checkpoint import Slot, array_slot, count_slot
 from .errors import NumericFault, ShapeError
 from .nets import ParameterSet
 
@@ -24,13 +25,17 @@ class AdamState:
         self._scratch = np.zeros(params.size, dtype=np.float64)
         self._scratch2 = np.zeros(params.size, dtype=np.float64)
 
+    def slots(self, prefix: str) -> list[Slot]:
+        """Checkpoint slots: the moments prefix.m/.v and the step count .t."""
+        return [array_slot(f"{prefix}.m", self.m),
+                array_slot(f"{prefix}.v", self.v),
+                count_slot(f"{prefix}.t", self, "t")]
 
-def adam_step(params: ParameterSet, grads, state: AdamState,
-              clip_norm: float | None = None) -> None:
+
+def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
     """One Adam update in place.  grads: name->array dict or a flat vector.
 
     Non-finite gradients reject the whole update and raise NumericFault.
-    Optional global-norm clipping runs before the moment update.
     """
     if isinstance(grads, dict):
         g = params.pack(grads, out=state._scratch)
@@ -42,8 +47,6 @@ def adam_step(params: ParameterSet, grads, state: AdamState,
     sq_norm = float(g @ g)
     if not math.isfinite(sq_norm):
         raise NumericFault("non-finite gradient; update rejected")
-    if clip_norm is not None and sq_norm > clip_norm * clip_norm:
-        g = g * (clip_norm / math.sqrt(sq_norm))
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     m, v, tmp = state.m, state.v, state._scratch2

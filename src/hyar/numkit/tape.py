@@ -120,14 +120,6 @@ class Tape:
             self._steps.append((out, back))
         return out
 
-    def exp(self, x: Var) -> Var:
-        out = Var(np.exp(x.data))
-        if self.record:
-            def back(g, x=x, od=out.data):
-                _acc(x, g * od)
-            self._steps.append((out, back))
-        return out
-
     def clip(self, x: Var, lo: float, hi: float) -> Var:
         """Clamp with pass-through gradient strictly inside (lo, hi)."""
         out = Var(np.clip(x.data, lo, hi))
@@ -137,39 +129,12 @@ class Tape:
             self._steps.append((out, back))
         return out
 
-    def add(self, a: Var, b: Var) -> Var:
-        out = Var(a.data + b.data)
-        if self.record:
-            def back(g, a=a, b=b):
-                _acc(a, g)
-                _acc(b, g)
-            self._steps.append((out, back))
-        return out
-
-    def sub(self, a: Var, b: Var) -> Var:
-        out = Var(a.data - b.data)
-        if self.record:
-            def back(g, a=a, b=b):
-                _acc(a, g)
-                _acc(b, -g)
-            self._steps.append((out, back))
-        return out
-
     def mul(self, a: Var, b: Var) -> Var:
         out = Var(a.data * b.data)
         if self.record:
             def back(g, a=a, b=b, ad=a.data, bd=b.data):
                 _acc(a, g * bd)
                 _acc(b, g * ad)
-            self._steps.append((out, back))
-        return out
-
-    def cmul(self, x: Var, c) -> Var:
-        """Multiply by a constant scalar or same-shaped array (no grad to c)."""
-        out = Var(x.data * c)
-        if self.record:
-            def back(g, x=x, c=c):
-                _acc(x, g * c)
             self._steps.append((out, back))
         return out
 

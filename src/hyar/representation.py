@@ -43,6 +43,7 @@ class LatentBounds:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=np.float64)
         self.upper = np.asarray(self.upper, dtype=np.float64)
+        self.c = float(self.c)
         if self.lower.shape != self.upper.shape:
             raise nk.ShapeError("bounds shape mismatch")
         if np.any(self.lower > self.upper):

@@ -283,7 +283,7 @@ def test_criterion_8_untrained_baselines() -> None:
     rates: dict[str, float] = {}
     for env_id in envs.ENV_IDS:
         n = 4 if env_id == "hard_move" else None
-        spec = envs.env_spec(env_id, n)
+        spec = envs.make(env_id, n).spec()
         model = ReprModel(spec, rng=np.random.default_rng(50))
         nets = AgentNets(spec.state_dim, model.d1, model.d2,
                          AgentConfig.td3(), np.random.default_rng(51))

@@ -7,7 +7,7 @@ from hyar.agents import (AgentConfig, AgentNets, Batch, ReplayBuffer,
                          ReplayUsageError, actor_loss_grads, actor_update,
                          critic_loss_grads, critic_update, decode_action,
                          relabel_batch, select_latent_action, td_targets)
-from hyar.envs import env_spec
+from hyar.envs import make
 from hyar.errors import ConfigError
 from hyar.representation import LatentBounds, ReprModel
 
@@ -19,7 +19,7 @@ def identity_bounds(dim: int = D1 + D2) -> LatentBounds:
 
 
 def small_setup(seed: int = 0, algo: str = "td3", **cfg_kw):
-    spec = env_spec("platform")
+    spec = make("platform").spec()
     cfg = AgentConfig.td3(**cfg_kw) if algo == "td3" else AgentConfig.ddpg(**cfg_kw)
     rng = np.random.default_rng(seed)
     model = ReprModel(spec, d1=D1, d2=D2, rng=rng)
@@ -121,9 +121,9 @@ def test_buffer_sampling_uniform() -> None:
 def test_buffer_checkpoint_roundtrip() -> None:
     buf = make_buffer(capacity=4)
     fill(buf, 6)  # wrapped: cursor 2, size 4
-    entries = buf.checkpoint_entries()
+    entries = nk.gather([buf.slot("buffer")])
     fresh = make_buffer(capacity=4)
-    fresh.load_checkpoint_entries(entries)
+    fresh.slot("buffer").load(entries)
     assert fresh.size == 4 and fresh.cursor == 2
     assert np.array_equal(fresh.r[:4], buf.r[:4])
     assert np.array_equal(fresh.k[:4], buf.k[:4])
@@ -153,14 +153,13 @@ def test_select_midpoint_rescale() -> None:
 
 
 def test_select_exploration_clips_then_rescales() -> None:
-    spec, _cfg, _model, nets = small_setup()
+    spec, _cfg, _model, nets = small_setup(expl_sigma=50.0)
     s = np.zeros(spec.state_dim)
     lo, hi = np.full(D1 + D2, -0.5), np.full(D1 + D2, 2.0)
     b = LatentBounds(lo, hi, 96.0)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        e, z = select_latent_action(nets, b, s, explore=True, rng=rng,
-                                    sigma=50.0)
+        e, z = select_latent_action(nets, b, s, explore=True, rng=rng)
         lat = np.concatenate([e, z])
         assert np.all(lat >= lo) and np.all(lat <= hi)
     e1, z1 = select_latent_action(nets, b, s, explore=True, rng=rng)
@@ -206,7 +205,7 @@ def test_decode_is_pure_and_in_range() -> None:
 def test_decode_action_matches_decode_and_predict_bits() -> None:
     """The reconstruction-only decoder gives decode_and_predict's x bit for
     bit, for every row of a 256-row table (hard_move n=8)."""
-    spec = env_spec("hard_move", 8)
+    spec = make("hard_move", 8).spec()
     model = ReprModel(spec, d1=D1, d2=D2, rng=np.random.default_rng(4))
     rng = np.random.default_rng(6)
     for _ in range(64):
@@ -461,9 +460,10 @@ def test_nets_checkpoint_roundtrip() -> None:
     for _ in range(3):
         critic_update(nets, cfg, batch, b)
     actor_update(nets, cfg, batch, b)
-    entries = nets.checkpoint_entries()
+    entries = nk.gather(nets.slots())
     other = AgentNets(spec.state_dim, D1, D2, cfg, np.random.default_rng(999))
-    other.load_checkpoint_entries(entries)
+    for slot in other.slots():
+        slot.load(entries)
     assert np.array_equal(other.actor.flat, nets.actor.flat)
     assert np.array_equal(other.critics[1].flat, nets.critics[1].flat)
     assert np.array_equal(other.target_actor.flat, nets.target_actor.flat)

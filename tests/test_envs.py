@@ -111,19 +111,19 @@ def test_horizon_and_success_implies_done() -> None:
 
 
 def test_env_specs_match_contract() -> None:
-    p = envs.env_spec("platform")
+    p = envs.make("platform").spec()
     assert (p.state_dim, p.num_discrete, p.param_dims, p.horizon) == (9, 3, (1, 1, 1), 20)
-    g = envs.env_spec("goal")
+    g = envs.make("goal").spec()
     assert (g.state_dim, g.num_discrete, g.param_dims, g.horizon) == (14, 3, (2, 1, 1), 50)
-    hg = envs.env_spec("hard_goal")
+    hg = envs.make("hard_goal").spec()
     assert hg.num_discrete == 11 and hg.param_dims == (2,) + (1,) * 10
-    c = envs.env_spec("catch_point")
+    c = envs.make("catch_point").spec()
     assert (c.state_dim, c.num_discrete, c.param_dims, c.horizon) == (5, 2, (1, 0), 20)
-    hm = envs.env_spec("hard_move", n=8)
+    hm = envs.make("hard_move", n=8).spec()
     assert (hm.state_dim, hm.num_discrete, hm.horizon) == (4, 256, 25)
     assert hm.param_dims == (8,) * 256 and hm.max_param_dim == 8
     with pytest.raises(envs.ConfigError):
-        envs.env_spec("lunar_lander")
+        envs.make("lunar_lander")
     with pytest.raises(envs.ConfigError):
         envs.make("hard_move")  # n missing
 
@@ -373,26 +373,3 @@ def test_hard_goal_regions() -> None:
     while not r.done:
         r = env.step(HybridAction(0, np.zeros(2)))
     assert r.success, f"shot from y={before_y} should beat a centered keeper"
-
-
-def test_trajectory_writer(tmp_path) -> None:
-    env = envs.make("platform")
-    spec = env.spec()
-    rec = envs.TrajectoryWriter(spec)
-    rng = np.random.default_rng(1)
-    s = env.reset(5)
-    while True:
-        a = random_action(spec, rng)
-        r = env.step(a)
-        rec.record(s, a, r)
-        s = r.state
-        if r.done:
-            break
-    path = tmp_path / "traj.csv"
-    rec.write(str(path))
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["t", "s0"]
-    assert header[-2:] == ["r", "done"]
-    assert len(header) == 1 + spec.state_dim + 1 + spec.max_param_dim + 2
-    assert len(lines) >= 2

@@ -145,7 +145,7 @@ def test_warmup_fills_buffer_and_bounds() -> None:
     assert tr.buffer.size == tr.env_step
     n = tr.buffer.size
     assert np.all(np.abs(tr.buffer.x[:n]) <= 1.0)
-    assert tr.bounds is not None and tr.moving_dyn is not None
+    assert tr.bounds is not None and not np.isnan(tr.moving_dyn)
     assert tr.bounds_refreshes == 1
     assert np.all(tr.bounds.lower <= tr.bounds.upper)
 
@@ -238,6 +238,23 @@ def test_trainer_checkpoint_roundtrip(tmp_path) -> None:
     # the stream generator continues identically
     assert (back.stream.standard_normal(4).tolist()
             == tr.stream.standard_normal(4).tolist())
+
+    # save, load, save again: the same file, so no piece of the run state
+    # is dropped; the counters that stay 0 in a tiny run are set first
+    ddpg = Trainer(build_config(overrides={
+        **tiny_overrides(str(tmp_path / "ddpg"), total=400),
+        "run.algo": "hyar-ddpg"}))
+    ddpg.run()
+    ddpg.repr_skipped, ddpg.nets.fault_count = 2, 3
+    first, again = str(tmp_path / "first.ckpt"), str(tmp_path / "again.ckpt")
+    for trainer, n_entries in ((tr, 89), (ddpg, 74)):
+        trainer.save_checkpoint(first)
+        Trainer.from_checkpoint(first).save_checkpoint(again)
+        entries = nk.load_checkpoint(first)
+        assert len(entries) == n_entries
+        assert entries["state.scalars"].shape == (15,)
+        assert entries["state.acc"].shape == (10,)
+        assert open(first, "rb").read() == open(again, "rb").read()
 
 
 def test_resume_matches_uninterrupted(tmp_path) -> None:
