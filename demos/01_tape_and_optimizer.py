@@ -21,12 +21,10 @@ def fit_sine():
     print("fitting y = sin(3x) with a [1, 32, 32, 1] MLP")
     for step in range(2001):
         tape = nk.Tape()
-        pv = nk.param_vars(params)
-        out = nk.mlp_apply(tape, spec, pv, nk.const(xs))
+        out = nk.mlp_apply(tape, spec, params.grad_vars(), nk.const(xs))
         loss = tape.msq_to(out, ys)
-        tape.backward(loss)
-        grads = {n: v.grad for n, v in pv.items() if v.grad is not None}
-        nk.adam_step(params, grads, opt)
+        tape.backward(loss)  # fills params.grad
+        nk.adam_step(params, params.grad, opt)
         if step % 400 == 0:
             print(f"  step {step:4d}  mse {float(loss.data):.5f}")
     return spec, params
@@ -38,18 +36,18 @@ def gradient_check(spec, params):
     ys = np.sin(3.0 * xs)
 
     tape = nk.Tape()
-    pv = nk.param_vars(params)
-    loss = tape.msq_to(nk.mlp_apply(tape, spec, pv, nk.const(xs)), ys)
+    loss = tape.msq_to(
+        nk.mlp_apply(tape, spec, params.grad_vars(), nk.const(xs)), ys)
     tape.backward(loss)
-    grads = {n: v.grad for n, v in pv.items() if v.grad is not None}
 
     def loss_fn():
         t = nk.Tape(record=False)
         return float(t.msq_to(
-            nk.mlp_apply(t, spec, nk.param_vars(params), nk.const(xs)),
+            nk.mlp_apply(t, spec, params.frozen_vars(), nk.const(xs)),
             ys).data)
 
-    report = nk.finite_diff_check(loss_fn, params, grads, samples_per_entry=8)
+    report = nk.finite_diff_check(loss_fn, params, params.grad,
+                                  samples_per_entry=8)
     print("\nfinite-difference check (8 coordinates per entry):")
     for name in params.names():
         print(f"  {name:4s} rel err {report[name]:.2e}")

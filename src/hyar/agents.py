@@ -145,9 +145,10 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=n)
         return Batch(*(getattr(self, c)[idx] for c in COLUMNS))
 
-    def slot(self, prefix: str) -> nk.Slot:
+    def slot(self, prefix: str, num_discrete: int) -> nk.Slot:
         """Checkpoint slot of the stored rows (one entry per Batch column,
-        cut to size) and the write cursor."""
+        cut to size) and the write cursor.  Loaded k must be integers in
+        [0, num_discrete)."""
         def save() -> dict:
             out = {f"{prefix}.{c}": getattr(self, c)[:self.size]
                    for c in COLUMNS}
@@ -161,6 +162,10 @@ class ReplayBuffer:
                     "checkpointed buffer exceeds configured capacity")
             cursor = nk.as_int(nk.entry(d, f"{prefix}.cursor", ()),
                                f"{prefix}.cursor", 0, self.capacity)
+            k = nk.entry(d, f"{prefix}.k", (n,))
+            if not np.all((k == np.rint(k)) & (k >= 0) & (k < num_discrete)):
+                raise nk.CheckpointError(
+                    f"{prefix}.k: not all integers in [0, {num_discrete})")
             for c in COLUMNS:
                 arr = getattr(self, c)
                 v = nk.entry(d, f"{prefix}.{c}", (n,) + arr.shape[1:])
@@ -323,29 +328,26 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
 
 def critic_loss_grads(nets: AgentNets, i: int, s: np.ndarray, lat: np.ndarray,
                       y: np.ndarray):
-    """Mean squared TD error of critic i against fixed targets y."""
+    """(loss, critic i's .grad) of the mean squared TD error against y."""
     t = nk.Tape()
-    pv = nk.param_vars(nets.critics[i])
     sa = nk.const(np.concatenate([s, lat], axis=1))
-    q = nk.mlp_apply(t, nets.critic_spec, pv, sa)
+    q = nk.mlp_apply(t, nets.critic_spec, nets.critics[i].grad_vars(), sa)
     loss = t.msq_to(q, y[:, None])
     t.backward(loss)
-    grads = {n: v.grad for n, v in pv.items() if v.grad is not None}
-    return float(loss.data), grads
+    return float(loss.data), nets.critics[i].grad
 
 
 def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
-    """-mean Q_1(s, rescale(actor(s))); gradient flows through the rescale."""
+    """(loss, actor .grad) of -mean Q_1(s, rescale(actor(s))); the gradient
+    flows through the rescale."""
     t = nk.Tape()
-    pv = nk.param_vars(nets.actor)
-    raw = nk.mlp_apply(t, nets.actor_spec, pv, nk.const(s))
+    raw = nk.mlp_apply(t, nets.actor_spec, nets.actor.grad_vars(), nk.const(s))
     lat = t.rescale(raw, bounds.scale, bounds.shift)
     sa = t.concat([nk.const(s), lat])
     q = nk.mlp_apply(t, nets.critic_spec, nets.critics[0].frozen_vars(), sa)
     loss = t.neg_mean(q)
     t.backward(loss)
-    grads = {n: v.grad for n, v in pv.items() if v.grad is not None}
-    return float(loss.data), grads
+    return float(loss.data), nets.actor.grad
 
 
 def td_targets(nets: AgentNets, config: AgentConfig, batch: Batch,

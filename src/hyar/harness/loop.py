@@ -91,10 +91,11 @@ def evaluate(nets: AgentNets, repr_model: ReprModel, bounds: LatentBounds,
 
 
 class IntervalAccum:
-    """Sums backing the per-interval mean columns of metrics.csv."""
+    """Sum and count (name_sum, name_n) per mean column of metrics.csv over
+    one eval interval; FIELDS is their checkpoint order."""
 
-    FIELDS = ("vae_sum", "vae_n", "dyn_sum", "dyn_n", "critic_sum", "critic_n",
-              "actor_sum", "actor_n", "cover_in", "cover_n")
+    NAMES = ("vae", "dyn", "critic", "actor", "cover")
+    FIELDS = tuple(f"{n}_{part}" for n in NAMES for part in ("sum", "n"))
 
     def __init__(self):
         self.reset()
@@ -103,16 +104,15 @@ class IntervalAccum:
         for f in self.FIELDS:
             setattr(self, f, 0.0)
 
-    def mean(self, prefix: str) -> float:
-        n = getattr(self, f"{prefix}_n")
+    def add(self, name: str, value: float) -> None:
+        setattr(self, f"{name}_sum", getattr(self, f"{name}_sum") + value)
+        setattr(self, f"{name}_n", getattr(self, f"{name}_n") + 1)
+
+    def mean(self, name: str) -> float:
+        n = getattr(self, f"{name}_n")
         if n == 0.0:
             return float("nan")
-        return getattr(self, f"{prefix}_sum") / n
-
-    def coverage(self) -> float:
-        if self.cover_n == 0.0:
-            return float("nan")
-        return self.cover_in / self.cover_n
+        return getattr(self, f"{name}_sum") / n
 
 
 class Trainer:
@@ -177,10 +177,8 @@ class Trainer:
         d = self.cfg.ema_decay
         self.moving_dyn = (rec.dyn if math.isnan(self.moving_dyn)
                            else d * self.moving_dyn + (1.0 - d) * rec.dyn)
-        self.acc.vae_sum += rec.vae
-        self.acc.vae_n += 1
-        self.acc.dyn_sum += rec.dyn
-        self.acc.dyn_n += 1
+        self.acc.add("vae", rec.vae)
+        self.acc.add("dyn", rec.dyn)
 
     def _refresh_bounds(self) -> None:
         n = self.buffer.size
@@ -229,12 +227,9 @@ class Trainer:
         self.rsc_in_bounds += int(inside.all(axis=1).sum())
         self.rsc_total += lat.shape[0]
         closs = critic_update(self.nets, acfg, rb, self.bounds, self.stream)
-        self.acc.critic_sum += closs
-        self.acc.critic_n += 1
+        self.acc.add("critic", closs)
         if self.nets.critic_updates % acfg.policy_delay == 0:
-            aloss = actor_update(self.nets, acfg, rb, self.bounds)
-            self.acc.actor_sum += aloss
-            self.acc.actor_n += 1
+            self.acc.add("actor", actor_update(self.nets, acfg, rb, self.bounds))
 
     def _run_eval(self) -> None:
         ev = make(self.cfg.env_id, self.cfg.env_n)
@@ -251,7 +246,7 @@ class Trainer:
             self.metrics.row([self.env_step, self.episode, ma_ret, ma_suc,
                               self.acc.mean("vae"), self.acc.mean("dyn"),
                               self.acc.mean("critic"), self.acc.mean("actor"),
-                              self.acc.coverage()])
+                              self.acc.mean("cover")])
         if self.evallog is not None:
             self.evallog.row([self.env_step, self.last_eval_return,
                               self.last_eval_success])
@@ -266,9 +261,8 @@ class Trainer:
             e, z = select_latent_action(self.nets, self.bounds, s,
                                         explore=True, rng=self.stream)
             lat = np.concatenate([e, z])
-            self.acc.cover_n += 1
-            if np.all((lat > self.bounds.lower) & (lat < self.bounds.upper)):
-                self.acc.cover_in += 1
+            inside = (lat > self.bounds.lower) & (lat < self.bounds.upper)
+            self.acc.add("cover", 1.0 if inside.all() else 0.0)
             act = decode_action(self.model, s, e, z)
             res = self.env.step(act)
             self._store(s, act.k, act.x, e, z, res)
@@ -335,8 +329,10 @@ class Trainer:
 
         def load(d: dict) -> None:
             try:
-                self.bounds = LatentBounds(*(nk.entry(d, n, shape).copy()
-                                             for n, shape in shapes.items()))
+                self.bounds = b = LatentBounds(*(nk.entry(d, n, shape).copy()
+                                                 for n, shape in shapes.items()))
+                if not np.isfinite([b.lower, b.upper]).all():
+                    raise ValueError("non-finite latent bound")
             except ValueError as exc:
                 raise nk.CheckpointError(f"bounds: {exc}") from exc
         return nk.Slot(save, load)
@@ -355,7 +351,7 @@ class Trainer:
         return [*self.model.params.slots("repr"),
                 *self.model.opt.slots("repr_opt"),
                 *self.nets.slots(),
-                self.buffer.slot("buffer"),
+                self.buffer.slot("buffer", self.spec.num_discrete),
                 self._bounds_slot(),
                 nk.fields_slot("state.scalars", scalars),
                 _deque_slot("state.ma_returns", self.ma_returns),

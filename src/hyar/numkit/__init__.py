@@ -2,11 +2,13 @@
 
 Everything runs in float64 on plain numpy.  The tape is the only autodiff
 mechanism in the package; networks are built from LayerSpec + ParameterSet and
-trained with adam_step / soft_update.
+trained with adam_step / soft_update.  There is one gradient path: a training
+tape built over ParameterSet.grad_vars() (which zeroes the set's flat .grad)
+writes its backward() into .grad, and adam_step reads that flat vector.
 """
 from .errors import NumericFault, ShapeError, TapeUsageError
 from .tape import Tape, Var, leaf, const
-from .nets import LayerSpec, ParameterSet, init_params, param_vars, mlp_apply
+from .nets import LayerSpec, ParameterSet, init_params, mlp_apply
 from .optim import AdamState, adam_step, soft_update
 from .gaussian import LOG_STD_MIN, LOG_STD_MAX, reparam_sample, kl_std_normal
 from .fdcheck import finite_diff_check
@@ -17,7 +19,7 @@ from .checkpoint import (MAGIC, CheckpointError, save_checkpoint,
 __all__ = [
     "NumericFault", "ShapeError", "TapeUsageError",
     "Tape", "Var", "leaf", "const",
-    "LayerSpec", "ParameterSet", "init_params", "param_vars", "mlp_apply",
+    "LayerSpec", "ParameterSet", "init_params", "mlp_apply",
     "AdamState", "adam_step", "soft_update",
     "LOG_STD_MIN", "LOG_STD_MAX", "reparam_sample", "kl_std_normal",
     "finite_diff_check",

@@ -12,26 +12,31 @@ import numpy as np
 from .nets import ParameterSet
 
 
-def finite_diff_check(loss_fn, params: ParameterSet, grads: dict,
+def finite_diff_check(loss_fn, params: ParameterSet, grads,
                       h: float = 1e-5, samples_per_entry: int | None = None,
                       rng: np.random.Generator | None = None) -> dict:
-    """Compare analytic grads against central differences of loss_fn.
+    """Compare an analytic gradient against central differences of loss_fn.
 
     loss_fn() -> float re-evaluates the loss at the current params (which are
-    perturbed in place and restored around each probe).  grads maps entry name
-    -> analytic gradient array.  samples_per_entry=None probes every
-    coordinate; an int probes that many seeded-random coordinates per entry.
-    Returns name -> relative error; key "max" holds the worst one.
+    perturbed in place and restored around each probe).  grads is the flat
+    analytic gradient, usually params.grad; it is copied first, because a
+    loss_fn that runs a training tape rewrites params.grad.
+    samples_per_entry=None probes every coordinate; an int probes that many
+    seeded-random coordinates per entry.  Returns name -> relative error; key
+    "max" holds the worst one.
     """
+    g_all = np.array(grads, dtype=np.float64)
+    if g_all.shape != (params.size,):
+        raise ValueError(f"flat grads {g_all.shape} vs params ({params.size},)")
     if samples_per_entry is not None and rng is None:
         rng = np.random.default_rng(0)
     report: dict[str, float] = {}
     worst = 0.0
+    off = 0
     for name in params.names():
         view = params[name].reshape(-1)
-        g_ad = np.asarray(grads[name], dtype=np.float64).reshape(-1)
-        if g_ad.shape != view.shape:
-            raise ValueError(f"{name}: grad shape {g_ad.shape} vs param {view.shape}")
+        g_ad = g_all[off:off + view.size]
+        off += view.size
         if samples_per_entry is None or samples_per_entry >= view.size:
             coords = np.arange(view.size)
         else:

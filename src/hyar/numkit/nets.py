@@ -52,12 +52,17 @@ class LayerSpec:
 
 
 class ParameterSet:
-    """Named float64 arrays backed by one flat buffer.
+    """Named float64 arrays backed by one flat buffer, with a flat gradient.
 
     Entries are views into .flat, so vectorized optimizer passes over the flat
     buffer and per-entry reads/writes stay coherent.  Every writer (Adam,
     Polyak, checkpoint loads) works in place, so the views, and the stop Vars
     that frozen_vars() builds over them once, stay valid for the set's life.
+
+    .grad (layout of .flat) belongs to the training tapes: grad_vars() zeroes
+    it (allocating it on first use, so targets carry none) and hands out leaf
+    Vars whose backward() writes into it; .grad then holds that loss's
+    gradient, exactly 0 where the loss never reaches.
     """
 
     def __init__(self, entries: dict):
@@ -66,6 +71,7 @@ class ParameterSet:
         sizes = [int(np.prod(s)) if s else 1 for s in shapes]
         total = int(sum(sizes))
         self.flat = np.zeros(total, dtype=np.float64)
+        self.grad: np.ndarray | None = None
         self._views: dict[str, np.ndarray] = {}
         off = 0
         for name, shape, size in zip(self._names, shapes, sizes):
@@ -90,6 +96,20 @@ class ParameterSet:
         Var a grad, so sharing it across tapes is safe; do not mutate it."""
         return self._frozen
 
+    def grad_vars(self) -> dict[str, Var]:
+        """Zero .grad and return fresh name -> leaf Vars over the views for
+        one training tape; its backward() writes into the slices of .grad."""
+        if self.grad is None:
+            self.grad = np.zeros(self.size, dtype=np.float64)
+        else:
+            self.grad.fill(0.0)
+        pv, off = {}, 0
+        for n, v in self._views.items():
+            pv[n] = var = Var(v)
+            var.sink = self.grad[off:off + v.size].reshape(v.shape)
+            off += v.size
+        return pv
+
     def slots(self, prefix: str) -> list[Slot]:
         """One checkpoint slot per entry, named prefix.name, loaded in place."""
         return [array_slot(f"{prefix}.{n}", v) for n, v in self._views.items()]
@@ -101,25 +121,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet({n: self._views[n].copy() for n in self._names})
 
-    def pack(self, grads: dict, out: np.ndarray | None = None) -> np.ndarray:
-        """Flatten a name->array dict into flat-buffer order (zeros if absent)."""
-        if out is None:
-            out = np.zeros(self.size, dtype=np.float64)
-        off = 0
-        for name in self._names:
-            view = self._views[name]
-            g = grads.get(name)
-            dst = out[off:off + view.size]
-            if g is None:
-                dst[:] = 0.0
-            else:
-                dst[:] = np.ravel(g)
-            off += view.size
-        return out
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
 
 def init_params(spec: LayerSpec, rng: np.random.Generator,
                 prefix: str = "") -> ParameterSet:
@@ -130,12 +131,6 @@ def init_params(spec: LayerSpec, rng: np.random.Generator,
         entries[f"{prefix}W{i}"] = rng.uniform(-bound, bound, size=(dout, din))
         entries[f"{prefix}b{i}"] = rng.uniform(-bound, bound, size=dout)
     return ParameterSet(entries)
-
-
-def param_vars(params: ParameterSet) -> dict[str, Var]:
-    """Wrap every entry as a fresh leaf Var (views, not copies); one dict per
-    training tape, since backward() leaves the grads on these Vars."""
-    return {n: Var(params[n]) for n in params.names()}
 
 
 def mlp_apply(tape: Tape, spec: LayerSpec, pvars: dict[str, Var], x: Var,

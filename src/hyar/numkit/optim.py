@@ -22,8 +22,7 @@ class AdamState:
         self.t = 0
         self.m = np.zeros(params.size, dtype=np.float64)
         self.v = np.zeros(params.size, dtype=np.float64)
-        self._scratch = np.zeros(params.size, dtype=np.float64)
-        self._scratch2 = np.zeros(params.size, dtype=np.float64)
+        self._tmp = np.zeros(params.size, dtype=np.float64)
 
     def slots(self, prefix: str) -> list[Slot]:
         """Checkpoint slots: the moments prefix.m/.v and the step count .t."""
@@ -33,23 +32,21 @@ class AdamState:
 
 
 def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
-    """One Adam update in place.  grads: name->array dict or a flat vector.
+    """One Adam update in place.  grads: a flat vector in the layout of
+    params.flat, usually params.grad (Adam only reads it; grad_vars zeroes it).
 
     Non-finite gradients reject the whole update and raise NumericFault.
     """
-    if isinstance(grads, dict):
-        g = params.pack(grads, out=state._scratch)
-    else:
-        g = np.asarray(grads, dtype=np.float64)
-        if g.shape != (params.size,):
-            raise ShapeError(f"flat grads {g.shape} vs params ({params.size},)")
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != (params.size,):
+        raise ShapeError(f"flat grads {g.shape} vs params ({params.size},)")
     # g @ g is finite iff every entry is finite (and none overflows squaring)
     sq_norm = float(g @ g)
     if not math.isfinite(sq_norm):
         raise NumericFault("non-finite gradient; update rejected")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    m, v, tmp = state.m, state.v, state._scratch2
+    m, v, tmp = state.m, state.v, state._tmp
     m *= b1
     np.multiply(g, 1.0 - b1, out=tmp)
     m += tmp

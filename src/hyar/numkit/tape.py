@@ -19,14 +19,17 @@ class Var:
 
     stop=True marks a leaf whose gradient is never needed (constants, frozen
     nets); ops skip the corresponding backward work and never give it a grad.
+    sink, set only on parameter leaves (ParameterSet.grad_vars), is the
+    Var's slice of its owner's flat .grad: backward writes the adjoint there.
     """
 
-    __slots__ = ("data", "grad", "stop")
+    __slots__ = ("data", "grad", "stop", "sink")
 
     def __init__(self, data, stop: bool = False):
         self.data = data
         self.grad = None
         self.stop = stop
+        self.sink = None
 
     @property
     def shape(self):
@@ -45,12 +48,19 @@ def const(data) -> Var:
 
 def _acc(v: Var, g) -> None:
     # stop Vars may be shared across tapes (cached frozen parameters), so they
-    # never hold an adjoint.  Non-inplace accumulation: the first write may
-    # alias upstream buffers, later contributions allocate a fresh sum, so
-    # shared views are never mutated
+    # never hold an adjoint.  A parameter leaf copies its first gradient into
+    # its sink (adding it to zeros would turn -0.0 into +0.0) and adds later
+    # ones in place.  Other Vars accumulate out of place: the first write may
+    # alias upstream buffers, so shared views are never mutated
     if v.stop:
         return
-    v.grad = g if v.grad is None else v.grad + g
+    if v.sink is None:
+        v.grad = g if v.grad is None else v.grad + g
+    elif v.grad is None:
+        v.sink[...] = g
+        v.grad = v.sink
+    else:
+        v.sink += g
 
 
 class Tape:

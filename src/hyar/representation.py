@@ -241,21 +241,19 @@ class ReprModel:
 
     # ---- losses and training ------------------------------------------
 
-    def _loss_graph(self, s, k, x_pad, s_next, beta: float, kl_weight: float,
-                    noise: np.ndarray):
-        """Build the full taped loss; returns (tape, loss_var, pvars, record)."""
-        B = s.shape[0]
-        if B == 0:
+    def _loss_graph(self, t: nk.Tape, pv, s, k, x_pad, s_next, beta: float,
+                    kl_weight: float, noise: np.ndarray):
+        """(total_var, record) of the full loss on tape t over parameters pv."""
+        s = np.asarray(s, dtype=np.float64)
+        if s.shape[0] == 0:
             raise ValueError("empty batch")
-        t = nk.Tape()
-        pv = nk.param_vars(self.params)
         kb = np.asarray(k, dtype=np.int64)
         rows = t.rows(pv["table"], kb)
         cond = t.concat([nk.const(s), rows])
         # zero the padded dims before anything sees them: the whole loss is
         # then invariant to whatever garbage the padding carries
         mask = self.mask_table[kb]
-        x_masked = x_pad * mask
+        x_masked = np.asarray(x_pad, dtype=np.float64) * mask
         mu, log_std = self._encode_graph(t, pv, nk.const(x_masked), cond)
         z = t.gaussian(mu, log_std, noise)
         trunk = self._decode_trunk(t, pv, z, cond)
@@ -263,53 +261,45 @@ class ReprModel:
         delta = self._dyn_head(t, pv, trunk)
         recon = t.mean(t.sq_dist(x_rec, x_masked, mask))
         kl = t.mean(t.kl_std_normal(mu, log_std))
-        dyn = t.mean(t.sq_dist(delta, s_next - s))
+        dyn = t.mean(t.sq_dist(delta, np.asarray(s_next, dtype=np.float64) - s))
         vae = t.add_scaled(recon, kl, kl_weight)
         total = t.add_scaled(vae, dyn, beta)
         record = ReprLossRecord(total=float(total.data), vae=float(vae.data),
                                 dyn=float(dyn.data), recon=float(recon.data),
                                 kl=float(kl.data))
-        return t, total, pv, record
+        return total, record
 
     def hyar_loss(self, s, k, x_pad, s_next, beta: float = 10.0,
                   kl_weight: float = 0.5,
                   noise: np.ndarray | None = None,
                   rng: np.random.Generator | None = None) -> ReprLossRecord:
-        """Loss components only (no update).  noise may be frozen by tests."""
-        s = np.asarray(s, dtype=np.float64)
+        """Loss components only: no update, and .grad is left untouched."""
         if noise is None:
             if rng is None:
                 raise ValueError("need noise or rng")
-            noise = rng.standard_normal(size=(s.shape[0], self.d2))
-        _t, _total, _pv, record = self._loss_graph(
-            s, k, np.asarray(x_pad, dtype=np.float64),
-            np.asarray(s_next, dtype=np.float64), beta, kl_weight, noise)
+            noise = rng.standard_normal(size=(np.shape(s)[0], self.d2))
+        _total, record = self._loss_graph(
+            nk.Tape(record=False), self.params.frozen_vars(), s, k, x_pad,
+            s_next, beta, kl_weight, noise)
         return record
 
     def loss_grads(self, s, k, x_pad, s_next, beta: float, kl_weight: float,
-                   noise: np.ndarray) -> tuple[ReprLossRecord, dict]:
-        """Loss plus analytic gradients for every parameter (for checking)."""
-        t, total, pv, record = self._loss_graph(
-            np.asarray(s, dtype=np.float64), k,
-            np.asarray(x_pad, dtype=np.float64),
-            np.asarray(s_next, dtype=np.float64), beta, kl_weight, noise)
+                   noise: np.ndarray) -> tuple[ReprLossRecord, np.ndarray]:
+        """Loss plus its flat gradient over every parameter (self.params.grad)."""
+        t = nk.Tape()
+        total, record = self._loss_graph(t, self.params.grad_vars(), s, k,
+                                         x_pad, s_next, beta, kl_weight, noise)
         t.backward(total)
-        grads = {n: (v.grad if v.grad is not None else np.zeros_like(v.data))
-                 for n, v in pv.items()}
-        return record, grads
+        return record, self.params.grad
 
     def repr_train_batch(self, s, k, x_pad, s_next, rng: np.random.Generator,
                          beta: float = 10.0,
                          kl_weight: float = 0.5) -> ReprLossRecord:
         """One joint Adam step on (zeta, phi, psi).  Numeric faults skip the
         update (flagged in the record) instead of raising."""
-        s = np.asarray(s, dtype=np.float64)
-        noise = rng.standard_normal(size=(s.shape[0], self.d2))
-        t, total, pv, record = self._loss_graph(
-            s, k, np.asarray(x_pad, dtype=np.float64),
-            np.asarray(s_next, dtype=np.float64), beta, kl_weight, noise)
-        t.backward(total)
-        grads = {n: v.grad for n, v in pv.items() if v.grad is not None}
+        noise = rng.standard_normal(size=(np.shape(s)[0], self.d2))
+        record, grads = self.loss_grads(s, k, x_pad, s_next, beta, kl_weight,
+                                        noise)
         try:
             nk.adam_step(self.params, grads, self.opt)
         except nk.NumericFault:

@@ -121,9 +121,9 @@ def test_buffer_sampling_uniform() -> None:
 def test_buffer_checkpoint_roundtrip() -> None:
     buf = make_buffer(capacity=4)
     fill(buf, 6)  # wrapped: cursor 2, size 4
-    entries = nk.gather([buf.slot("buffer")])
+    entries = nk.gather([buf.slot("buffer", 4)])
     fresh = make_buffer(capacity=4)
-    fresh.slot("buffer").load(entries)
+    fresh.slot("buffer", 4).load(entries)
     assert fresh.size == 4 and fresh.cursor == 2
     assert np.array_equal(fresh.r[:4], buf.r[:4])
     assert np.array_equal(fresh.k[:4], buf.k[:4])

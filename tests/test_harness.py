@@ -385,6 +385,16 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_set("state.scalars", np.zeros(3)), id="scalars-short"),
     pytest.param(_set("bounds.lower", lambda d: d["bounds.upper"] + 1.0),
                  id="bounds-inverted"),
+    pytest.param(_set("bounds.lower", lambda d: np.r_[np.nan,
+                                                      d["bounds.lower"][1:]]),
+                 id="bounds-nan"),
+    pytest.param(_set("bounds.upper", lambda d: np.r_[np.inf,
+                                                      d["bounds.upper"][1:]]),
+                 id="bounds-inf"),
+    pytest.param(_set("buffer.k", lambda d: np.r_[-1.0, d["buffer.k"][1:]]),
+                 id="k-negative"),
+    pytest.param(_set("buffer.k", lambda d: np.r_[999.0, d["buffer.k"][1:]]),
+                 id="k-past-num-discrete"),
 ])
 def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
     """Every malformed checkpoint is an I/O error (exit 4), never a traceback

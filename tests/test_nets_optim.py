@@ -37,7 +37,7 @@ def test_mlp_forward_zero_params_zero_output() -> None:
     ps = nk.init_params(spec, np.random.default_rng(1))
     ps.flat[:] = 0.0
     x = nk.const(np.random.default_rng(2).normal(size=(7, 5)))
-    y = nk.mlp_apply(nk.Tape(), spec, nk.param_vars(ps), x)
+    y = nk.mlp_apply(nk.Tape(), spec, ps.grad_vars(), x)
     assert y.shape == (7, 2) and np.all(y.data == 0.0)
 
 
@@ -45,7 +45,7 @@ def test_mlp_forward_shape_error_names_layer() -> None:
     spec = nk.LayerSpec.mlp([4, 8, 3])
     ps = nk.init_params(spec, np.random.default_rng(0))
     with pytest.raises(nk.ShapeError, match="layer 0"):
-        nk.mlp_apply(nk.Tape(), spec, nk.param_vars(ps),
+        nk.mlp_apply(nk.Tape(), spec, ps.grad_vars(),
                      nk.const(np.zeros((2, 5))))
 
 
@@ -53,7 +53,7 @@ def test_adam_first_step_matches_reference() -> None:
     # single parameter 1.0, gradient 1.0, lr 0.1: first step is ~ -lr
     ps = nk.ParameterSet({"p": np.array([1.0])})
     st = nk.AdamState(ps, lr=0.1)
-    nk.adam_step(ps, {"p": np.array([1.0])}, st)
+    nk.adam_step(ps, np.array([1.0]), st)
     assert abs(ps["p"][0] - (1.0 - 0.1)) < 1e-6
 
 
@@ -68,7 +68,7 @@ def test_adam_matches_textbook_reference_over_steps() -> None:
     v = np.zeros(7)
     for t in range(1, 30):
         g = np.sin(ref_p) + 0.1 * t
-        nk.adam_step(ps, {"p": g.copy()}, st)
+        nk.adam_step(ps, g.copy(), st)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         m_hat = m / (1.0 - 0.9 ** t)
@@ -82,11 +82,11 @@ def test_adam_rejects_nonfinite_grads() -> None:
     st = nk.AdamState(ps, lr=1e-3)
     before = ps.flat.copy()
     with pytest.raises(nk.NumericFault):
-        nk.adam_step(ps, {"p": np.array([1.0, np.nan, 0.0])}, st)
+        nk.adam_step(ps, np.array([1.0, np.nan, 0.0]), st)
     assert np.array_equal(ps.flat, before)
     assert st.t == 0
     with pytest.raises(nk.NumericFault):
-        nk.adam_step(ps, {"p": np.array([1.0, np.inf, 0.0])}, st)
+        nk.adam_step(ps, np.array([1.0, np.inf, 0.0]), st)
 
 
 def test_adam_deterministic_twice() -> None:
@@ -95,7 +95,7 @@ def test_adam_deterministic_twice() -> None:
         ps = nk.ParameterSet({"a": rng.normal(size=(4, 4)), "b": rng.normal(size=4)})
         st = nk.AdamState(ps, lr=3e-4)
         for _ in range(50):
-            g = {"a": np.cos(ps["a"]), "b": ps["b"] ** 2}
+            g = np.concatenate([np.cos(ps["a"]).ravel(), ps["b"] ** 2])
             nk.adam_step(ps, g, st)
         return ps.flat.copy()
 
@@ -123,7 +123,40 @@ def test_soft_update_mismatch_raises() -> None:
         nk.soft_update(a, b, 0.5)
 
 
-def test_parameterset_pack_order() -> None:
-    ps = nk.ParameterSet({"a": np.zeros((2, 2)), "b": np.zeros(3)})
-    flat = ps.pack({"b": np.array([1.0, 2.0, 3.0]), "a": np.eye(2)})
-    assert np.array_equal(flat, [1, 0, 0, 1, 1, 2, 3])
+def test_taped_grads_land_in_flat_grad_order() -> None:
+    ps = nk.ParameterSet({"a": np.zeros((2, 2)), "b": np.zeros(3),
+                          "c": np.zeros(2), "d": np.zeros(2)})
+    assert ps.grad is None  # allocated by the first training tape
+    ps.grad_vars()
+    ps.grad[:] = np.nan  # left over from an earlier tape
+    pv = ps.grad_vars()
+    t = nk.Tape()
+    m = nk.const(np.array([[4.0, -0.0], [0.0, 4.0]]))
+    la = t.mean(t.mul(pv["a"], m))  # d/da = m / 4
+    lab = t.add_scaled(la, t.mean(pv["b"]), 3.0)  # d/db = 1 each
+    ld = t.add_scaled(t.mean(pv["d"]), t.mean(pv["d"]), 1.0)  # d used twice
+    t.backward(t.add_scaled(lab, ld, 1.0))  # c is never reached
+    assert np.array_equal(ps.grad, [1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1])
+    assert pv["a"].grad.base is ps.grad
+    # the first gradient is copied, not added to zeros: -0.0 keeps its sign
+    assert np.signbit(ps.grad[1]) and not np.signbit(ps.grad[2])
+    assert not np.signbit(ps.grad[7:9]).any()
+
+
+def test_finite_diff_check_copies_the_gradient_before_probing() -> None:
+    ps = nk.ParameterSet({"w": np.array([0.5, -1.0, 2.0]),
+                          "v": np.array([[1.5, -0.25]])})
+
+    def loss(overwrite: bool):
+        def fn() -> float:
+            if overwrite:  # as a loss_fn that runs a training tape does
+                ps.grad[:] = 1e3
+            return float(np.sum(ps.flat ** 3))
+        return fn
+
+    ps.grad_vars()
+    ps.grad[:] = 3.0 * ps.flat ** 2
+    clean = nk.finite_diff_check(loss(False), ps, ps.grad)
+    assert clean["max"] < 1e-8
+    ps.grad[:] = 3.0 * ps.flat ** 2
+    assert nk.finite_diff_check(loss(True), ps, ps.grad) == clean
