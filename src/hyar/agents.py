@@ -6,6 +6,8 @@ an executable hybrid action.  TD3 keeps twin critics with clipped double-Q
 targets and delayed actor updates; DDPG is the single-critic, every-step
 variant.  Relabeling (both the discrete table lookup and the dynamics-gated
 continuous resample) happens on sampled batch copies, never on the buffer.
+Nets and buffer keep their state in nk.model_dtype() as of their building;
+env states are cast once, where they enter.
 """
 from __future__ import annotations
 
@@ -104,21 +106,23 @@ COLUMNS = tuple(f.name for f in fields(Batch))  # buffer arrays, in Batch order
 
 
 class ReplayBuffer:
-    """Preallocated ring buffer of hybrid transitions with executed latents."""
+    """Preallocated ring buffer of hybrid transitions with executed latents.
+    Every column but k is in nk.model_dtype(); push casts on the way in."""
 
     def __init__(self, capacity: int, state_dim: int, max_param_dim: int,
                  d1: int, d2: int):
         if capacity < 1:
             raise ConfigError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self.s = np.zeros((capacity, state_dim))
+        dt = nk.model_dtype()
+        self.s = np.zeros((capacity, state_dim), dt)
         self.k = np.zeros(capacity, dtype=np.int64)
-        self.x = np.zeros((capacity, max_param_dim))
-        self.e = np.zeros((capacity, d1))
-        self.z = np.zeros((capacity, d2))
-        self.r = np.zeros(capacity)
-        self.s_next = np.zeros((capacity, state_dim))
-        self.done = np.zeros(capacity)
+        self.x = np.zeros((capacity, max_param_dim), dt)
+        self.e = np.zeros((capacity, d1), dt)
+        self.z = np.zeros((capacity, d2), dt)
+        self.r = np.zeros(capacity, dt)
+        self.s_next = np.zeros((capacity, state_dim), dt)
+        self.done = np.zeros(capacity, dt)
         self.size = 0
         self.cursor = 0
 
@@ -183,12 +187,13 @@ class AgentNets:
         self.d1 = d1
         self.d2 = d2
         self.config = config
+        self.dtype = nk.model_dtype()
         lat = d1 + d2
         self.actor_spec = nk.LayerSpec.mlp([state_dim, HIDDEN, HIDDEN, lat],
                                            out_act="tanh")
         self.critic_spec = nk.LayerSpec.mlp([state_dim + lat, HIDDEN, HIDDEN, 1])
-        self.actor = nk.init_params(self.actor_spec, rng)
-        self.critics = [nk.init_params(self.critic_spec, rng)
+        self.actor = nk.init_params(self.actor_spec, rng, dtype=self.dtype)
+        self.critics = [nk.init_params(self.critic_spec, rng, dtype=self.dtype)
                         for _ in range(config.num_critics)]
         self.target_actor = self.actor.copy()
         self.target_critics = [c.copy() for c in self.critics]
@@ -210,7 +215,7 @@ class AgentNets:
     def actor_raw(self, s: np.ndarray, target: bool = False) -> np.ndarray:
         """Pre-rescale policy output in [-1,1]^(d1+d2); single or batch."""
         params = self.target_actor if target else self.actor
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s, dtype=self.dtype)
         if s.ndim == 1:
             return self._eval(self.actor_spec, params, s[None, :])[0]
         return self._eval(self.actor_spec, params, s)
@@ -250,8 +255,8 @@ def select_latent_action(nets: AgentNets, bounds: LatentBounds, s: np.ndarray,
     if explore:
         if rng is None:
             raise ValueError("explore=True needs an rng")
-        raw = np.clip(raw + rng.normal(0.0, nets.config.expl_sigma,
-                                       size=raw.shape), -1.0, 1.0)
+        noise = rng.normal(0.0, nets.config.expl_sigma, size=raw.shape)
+        raw = np.clip(raw + noise.astype(raw.dtype), -1.0, 1.0)
     lat = bounds.rescale(raw)
     return lat[:nets.d1], lat[nets.d1:]
 
@@ -261,7 +266,7 @@ def decode_action(repr_model: ReprModel, s: np.ndarray, e: np.ndarray,
     """Nearest-row lookup for k, then decode z conditioned on the table row."""
     k = repr_model.nn_decode(e)
     row = repr_model.table[k]
-    x_rec = repr_model.decode(z, np.asarray(s, np.float64), row)
+    x_rec = repr_model.decode(z, s, row)
     pd = repr_model.env_spec.param_dims[k]
     return HybridAction(k, np.clip(x_rec[:pd], -1.0, 1.0))
 
@@ -286,7 +291,8 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
 
     Discrete: any e that no longer decodes to its stored k is replaced by the
     current table row plus N(0, noise) kept inside the row's Voronoi cell
-    (up to `redraws` attempts, then the exact row).  Continuous: transitions
+    (up to `redraws` attempts, then the exact row); a candidate is checked
+    in the dtype of batch.e, which stores it.  Continuous: transitions
     whose dynamics-prediction error exceeds threshold_mult * moving_dyn_loss
     get z resampled from the encoder posterior.  Works on copies.
     """
@@ -301,7 +307,8 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
         k = int(ks[i])
         row = repr_model.table[k]
         for _ in range(redraws):
-            cand = row + rng.normal(0.0, noise, size=row.shape)
+            cand = (row + rng.normal(0.0, noise, size=row.shape)).astype(
+                e.dtype)
             if repr_model.nn_decode(cand) == k:
                 e[i] = cand
                 break
@@ -360,7 +367,7 @@ def td_targets(nets: AgentNets, config: AgentConfig, batch: Batch,
             raise ValueError("target_noise > 0 needs an rng")
         eps = np.clip(rng.normal(0.0, config.target_noise, size=raw.shape),
                       -config.target_noise_clip, config.target_noise_clip)
-        raw = np.clip(raw + eps, -1.0, 1.0)
+        raw = np.clip(raw + eps.astype(raw.dtype), -1.0, 1.0)
     lat = bounds.rescale(raw)
     qs = [nets.critic_value(j, batch.s_next, lat, target=True)
           for j in range(len(nets.target_critics))]

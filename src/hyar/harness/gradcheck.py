@@ -3,7 +3,8 @@
 Checks the representation loss (embedding table, encoder, decoder trunk and
 both heads) and the policy losses (actor through the bound rescale, each
 critic) on frozen random batches of 8.  Central differences, h = 1e-5,
-float64 throughout.
+float64 throughout: the models are built under nk.float64_models(), the
+one way to leave the float32 training policy.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ _GROUP_LABELS = {"zeta": "repr.table", "phi": "repr.encoder",
                  "psi2": "repr.dyn_head"}
 
 
+@nk.float64_models()
 def gradcheck_suite(samples_per_entry: int = 4, seed: int = 0) -> dict:
     """Name -> max relative error per checked head; key "max" is the worst."""
     spec = make("platform").spec()

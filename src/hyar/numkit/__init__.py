@@ -1,12 +1,17 @@
 """Minimal numeric kernel: tape autodiff, MLPs, Adam, Gaussian utils, checkpoints.
 
-Everything runs in float64 on plain numpy.  The tape is the only autodiff
-mechanism in the package; networks are built from LayerSpec + ParameterSet and
-trained with adam_step / soft_update.  There is one gradient path: a training
-tape built over ParameterSet.grad_vars() (which zeroes the set's flat .grad)
-writes its backward() into .grad, and adam_step reads that flat vector.
+Plain numpy.  The numeric policy (policy.py) declares the one dtype models
+build their state in: float32 for training, float64 only inside
+float64_models() (finite-difference checks).  Ops, Adam and Polyak compute
+in the dtype of the arrays they are given and never cast.  The tape is the
+only autodiff mechanism in the package; networks are built from LayerSpec +
+ParameterSet and trained with adam_step / soft_update.  There is one
+gradient path: a training tape built over ParameterSet.grad_vars() (which
+zeroes the set's flat .grad) writes its backward() into .grad, and adam_step
+reads that flat vector.
 """
 from .errors import NumericFault, ShapeError, TapeUsageError
+from .policy import TRAIN_DTYPE, model_dtype, float64_models
 from .tape import Tape, Var, leaf, const
 from .nets import LayerSpec, ParameterSet, init_params, mlp_apply
 from .optim import AdamState, adam_step, soft_update
@@ -18,6 +23,7 @@ from .checkpoint import (MAGIC, CheckpointError, save_checkpoint,
 
 __all__ = [
     "NumericFault", "ShapeError", "TapeUsageError",
+    "TRAIN_DTYPE", "model_dtype", "float64_models",
     "Tape", "Var", "leaf", "const",
     "LayerSpec", "ParameterSet", "init_params", "mlp_apply",
     "AdamState", "adam_step", "soft_update",

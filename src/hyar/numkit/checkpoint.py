@@ -1,15 +1,19 @@
-"""HYAR-CKPT-1 checkpoint container.
+"""HYAR-CKPT-2 checkpoint container.
 
 Layout: a UTF-8 text manifest followed by one binary blob.
 
-    HYAR-CKPT-1
+    HYAR-CKPT-2
     entries <N>
-    <name> <shape> <byte_offset> <count>      (N lines; shape "2x3", 0-d "0d")
+    <name> <shape> <byte_offset> <count> <dtype>   (N lines; shape "2x3",
+                                                    0-d "0d"; dtype f4|f8)
     blob <total_bytes>
-    <raw little-endian float64 data>
+    <raw little-endian data, each entry in its own dtype>
 
-Every stored value is float64; integer and RNG state words are bit-viewed by
-the caller.  Names are whitespace-free.  Loading a malformed file raises
+Each entry is written once, in the dtype it lives in: float32 arrays (model
+parameters, Adam moments, buffer columns, bounds) as f4, everything else as
+f8, and each loads back in that dtype.  Integer and RNG state words are
+stored as float64 values by the caller.  Names are whitespace-free.  Other
+formats, HYAR-CKPT-1 included, are refused.  Loading a malformed file raises
 CheckpointError (an OSError, so it maps to the I/O exit code); so do entry(),
 restore() and as_int(), which restorers use to read a loaded dict, when an
 entry is missing, has the wrong shape or is not a count in range.
@@ -25,7 +29,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-MAGIC = "HYAR-CKPT-1"
+MAGIC = "HYAR-CKPT-2"
+_DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
 
 
 class CheckpointError(OSError):
@@ -54,7 +59,8 @@ def _parse_shape(text: str) -> tuple:
 
 
 def save_checkpoint(path: str, entries: dict) -> None:
-    """Write entries (name -> float64 array) in manifest + blob form."""
+    """Write entries (name -> array) in manifest + blob form: float32
+    arrays as f4, anything else converted to f8."""
     names = list(entries)
     arrays = []
     lines = [MAGIC, f"entries {len(names)}"]
@@ -62,12 +68,14 @@ def save_checkpoint(path: str, entries: dict) -> None:
     for name in names:
         if any(ch.isspace() for ch in name):
             raise CheckpointError(f"entry name contains whitespace: {name!r}")
-        a = np.asarray(entries[name], dtype="<f8")
+        a = np.asarray(entries[name])
+        code = "f4" if a.dtype == np.float32 else "f8"
+        a = np.asarray(a, dtype=_DTYPES[code])
         if a.ndim and not a.flags.c_contiguous:
             a = np.ascontiguousarray(a)
         arrays.append(a)
-        lines.append(f"{name} {_shape_str(a.shape)} {offset} {a.size}")
-        offset += a.size * 8
+        lines.append(f"{name} {_shape_str(a.shape)} {offset} {a.size} {code}")
+        offset += a.nbytes
     lines.append(f"blob {offset}")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -76,7 +84,8 @@ def save_checkpoint(path: str, entries: dict) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint back into a name -> float64 array dict."""
+    """Read a checkpoint back into a name -> array dict, each array in the
+    dtype its entry was stored in (float32 for f4, float64 for f8)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -104,11 +113,13 @@ def load_checkpoint(path: str) -> dict:
     for _ in range(n):
         line, pos = next_line(pos)
         parts = line.split()
-        if len(parts) != 4:
+        if len(parts) != 5:
             raise CheckpointError(f"bad entry line {line!r}")
-        name, shape_s, off_s, count_s = parts
+        name, shape_s, off_s, count_s, code = parts
+        if code not in _DTYPES:
+            raise CheckpointError(f"{name}: unknown dtype {code!r}")
         specs.append((name, _parse_shape(shape_s), _field(off_s, "offset"),
-                      _field(count_s, "count")))
+                      _field(count_s, "count"), _DTYPES[code]))
     line, pos = next_line(pos)
     parts = line.split()
     if len(parts) != 2 or parts[0] != "blob":
@@ -119,14 +130,14 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointError(
             f"blob truncated: expected {total} bytes, got {len(blob)}")
     out = {}
-    for name, shape, off, count in specs:
+    for name, shape, off, count, dtype in specs:
         expect = int(np.prod(shape)) if shape else 1
         if count != expect:
             raise CheckpointError(f"{name}: count {count} vs shape {shape}")
-        if off + count * 8 > total:
+        if off + count * dtype.itemsize > total:
             raise CheckpointError(f"{name}: entry extends past blob end")
-        a = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        out[name] = a.astype(np.float64).reshape(shape)
+        a = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
+        out[name] = a.astype(dtype.type).reshape(shape)
     return out
 
 

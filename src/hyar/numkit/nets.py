@@ -52,7 +52,9 @@ class LayerSpec:
 
 
 class ParameterSet:
-    """Named float64 arrays backed by one flat buffer, with a flat gradient.
+    """Named arrays of one dtype backed by one flat buffer, with a flat
+    gradient of the same dtype.  Models pass nk.model_dtype(); the default,
+    float64, serves direct numeric use.
 
     Entries are views into .flat, so vectorized optimizer passes over the flat
     buffer and per-entry reads/writes stay coherent.  Every writer (Adam,
@@ -65,12 +67,12 @@ class ParameterSet:
     gradient, exactly 0 where the loss never reaches.
     """
 
-    def __init__(self, entries: dict):
+    def __init__(self, entries: dict, dtype=np.float64):
         self._names = list(entries)
         shapes = [np.shape(entries[n]) for n in self._names]
         sizes = [int(np.prod(s)) if s else 1 for s in shapes]
         total = int(sum(sizes))
-        self.flat = np.zeros(total, dtype=np.float64)
+        self.flat = np.zeros(total, dtype=dtype)
         self.grad: np.ndarray | None = None
         self._views: dict[str, np.ndarray] = {}
         off = 0
@@ -100,7 +102,7 @@ class ParameterSet:
         """Zero .grad and return fresh name -> leaf Vars over the views for
         one training tape; its backward() writes into the slices of .grad."""
         if self.grad is None:
-            self.grad = np.zeros(self.size, dtype=np.float64)
+            self.grad = np.zeros_like(self.flat)
         else:
             self.grad.fill(0.0)
         pv, off = {}, 0
@@ -119,18 +121,20 @@ class ParameterSet:
         return self.flat.size
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet({n: self._views[n].copy() for n in self._names})
+        return ParameterSet({n: self._views[n] for n in self._names},
+                            self.flat.dtype)
 
 
 def init_params(spec: LayerSpec, rng: np.random.Generator,
-                prefix: str = "") -> ParameterSet:
-    """U(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for weights and biases."""
+                prefix: str = "", dtype=np.float64) -> ParameterSet:
+    """U(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for weights and biases,
+    drawn in float64 and stored in dtype."""
     entries = {}
     for i, (din, dout, _act) in enumerate(spec.layers):
         bound = 1.0 / np.sqrt(din)
         entries[f"{prefix}W{i}"] = rng.uniform(-bound, bound, size=(dout, din))
         entries[f"{prefix}b{i}"] = rng.uniform(-bound, bound, size=dout)
-    return ParameterSet(entries)
+    return ParameterSet(entries, dtype)
 
 
 def mlp_apply(tape: Tape, spec: LayerSpec, pvars: dict[str, Var], x: Var,

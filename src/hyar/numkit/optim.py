@@ -11,7 +11,8 @@ from .nets import ParameterSet
 
 
 class AdamState:
-    """Adam moments for one ParameterSet.  m/v mirror the flat layout."""
+    """Adam moments for one ParameterSet.  m/v mirror the flat layout and
+    dtype."""
 
     def __init__(self, params: ParameterSet, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -20,9 +21,9 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros(params.size, dtype=np.float64)
-        self.v = np.zeros(params.size, dtype=np.float64)
-        self._tmp = np.zeros(params.size, dtype=np.float64)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._tmp = np.zeros_like(params.flat)
 
     def slots(self, prefix: str) -> list[Slot]:
         """Checkpoint slots: the moments prefix.m/.v and the step count .t."""
@@ -34,10 +35,11 @@ class AdamState:
 def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
     """One Adam update in place.  grads: a flat vector in the layout of
     params.flat, usually params.grad (Adam only reads it; grad_vars zeroes it).
+    The arithmetic runs in the dtype of params.flat.
 
     Non-finite gradients reject the whole update and raise NumericFault.
     """
-    g = np.asarray(grads, dtype=np.float64)
+    g = np.asarray(grads, dtype=params.flat.dtype)
     if g.shape != (params.size,):
         raise ShapeError(f"flat grads {g.shape} vs params ({params.size},)")
     # g @ g is finite iff every entry is finite (and none overflows squaring)

@@ -1,0 +1,32 @@
+"""The numeric policy: the one dtype that models build their state in.
+
+Models (representation, agent nets, replay buffer, latent bounds) read
+model_dtype() when they are built and keep it for their life.  numkit's ops
+compute in the dtype of their inputs and never cast, so the policy reaches
+the arithmetic only through the arrays the models own.  Training runs in
+float32; float64_models() is the single way to build float64 models, for
+the finite-difference checks whose tolerances assume float64.
+"""
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+
+TRAIN_DTYPE = np.dtype(np.float32)
+_active = [TRAIN_DTYPE]
+
+
+def model_dtype() -> np.dtype:
+    """The dtype a model built now takes for its parameters and buffers."""
+    return _active[-1]
+
+
+@contextlib.contextmanager
+def float64_models():
+    """Models built inside the block keep float64 state."""
+    _active.append(np.dtype(np.float64))
+    try:
+        yield
+    finally:
+        _active.pop()

@@ -3,9 +3,13 @@
 A Tape records ops in construction order; backward() replays the list in
 reverse, so no topological sort is needed.  Every op returns a fresh Var and,
 on a recording tape, appends a closure that routes the output adjoint to the
-parents.  All math is float64.  A tape built with record=False runs the same
-forward expression and returns its output at once: it builds no backward
-closures and keeps no list, so inference pays only for the forward arithmetic.
+parents.  Ops compute in the dtype of their inputs and never cast: a model's
+float32 parameters and inputs give float32 arithmetic, float64 ones float64.
+Scalar losses (msq_to, mean, neg_mean) are 0-d float64 values, and their
+backward casts the incoming adjoint to the input's dtype before it meets an
+array.  A tape built with record=False runs the same forward expression and
+returns its output at once: it builds no backward closures and keeps no
+list, so inference pays only for the forward arithmetic.
 """
 from __future__ import annotations
 
@@ -36,14 +40,20 @@ class Var:
         return np.shape(self.data)
 
 
+def _floats(data) -> np.ndarray:
+    a = np.asarray(data)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
+
+
 def leaf(data) -> Var:
-    """Wrap an array as a graph input (parameter or constant)."""
-    return Var(np.asarray(data, dtype=np.float64))
+    """Wrap an array as a graph input (parameter or constant).  A float
+    array keeps its dtype; anything else becomes float64."""
+    return Var(_floats(data))
 
 
 def const(data) -> Var:
-    """Wrap an array as a no-gradient input."""
-    return Var(np.asarray(data, dtype=np.float64), stop=True)
+    """Wrap an array as a no-gradient input (dtype as for leaf)."""
+    return Var(_floats(data), stop=True)
 
 
 def _acc(v: Var, g) -> None:
@@ -61,6 +71,16 @@ def _acc(v: Var, g) -> None:
         v.grad = v.sink
     else:
         v.sink += g
+
+
+def _acc_out(v: Var, fn, *args, **kwargs) -> None:
+    """_acc(v, fn(*args, **kwargs)), except that a parameter leaf's first
+    gradient is computed straight into its sink (fn takes out=): no
+    temporary, and the same bits as the copy _acc would make."""
+    if v.sink is not None and v.grad is None:
+        v.grad = fn(*args, out=v.sink, **kwargs)
+    else:
+        _acc(v, fn(*args, **kwargs))
 
 
 class Tape:
@@ -107,8 +127,8 @@ class Tape:
                         _acc(w, np.outer(g, xd))
                         _acc(b, g)
                     else:
-                        _acc(w, g.T @ xd)
-                        _acc(b, g.sum(axis=0))
+                        _acc_out(w, np.matmul, g.T, xd)
+                        _acc_out(b, np.sum, g, axis=0)
                 if not x.stop:
                     _acc(x, g @ wd)
             self._steps.append((out, back))
@@ -232,7 +252,7 @@ class Tape:
         out = Var(np.float64((d * d).mean()))
         if self.record:
             def back(g, pred=pred, d=d):
-                _acc(pred, (2.0 / d.size) * g * d)
+                _acc(pred, (2.0 / d.size) * d.dtype.type(g) * d)
             self._steps.append((out, back))
         return out
 
@@ -240,7 +260,8 @@ class Tape:
         out = Var(np.float64(np.mean(x.data)))
         if self.record:
             def back(g, x=x, n=np.size(x.data)):
-                _acc(x, np.full(np.shape(x.data), g / n))
+                _acc(x, np.full(np.shape(x.data), g / n,
+                                dtype=x.data.dtype))
             self._steps.append((out, back))
         return out
 
@@ -248,7 +269,8 @@ class Tape:
         out = Var(np.float64(-np.mean(x.data)))
         if self.record:
             def back(g, x=x, n=np.size(x.data)):
-                _acc(x, np.full(np.shape(x.data), -g / n))
+                _acc(x, np.full(np.shape(x.data), -g / n,
+                                dtype=x.data.dtype))
             self._steps.append((out, back))
         return out
 

@@ -6,7 +6,9 @@ product branches.  The decoder's shared trunk feeds the reconstruction head
 directly and a cascaded 256-unit layer feeds the state-residual prediction
 head, so the two heads share everything except their last layers.  All
 parameters (table included) live in one flat ParameterSet and train jointly
-with a single Adam state.
+with a single Adam state.  Parameters, masks and every array fed to the
+networks are in the model's dtype (nk.model_dtype() when it was built);
+inputs are cast once where they enter.
 """
 from __future__ import annotations
 
@@ -34,20 +36,24 @@ class ReprLossRecord:
 
 @dataclass
 class LatentBounds:
-    """Per-dimension c-percentage central range of observed latents."""
+    """Per-dimension c-percentage central range of observed latents, in
+    nk.model_dtype(); c must lie in (0, 100]."""
 
     lower: np.ndarray
     upper: np.ndarray
     c: float
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
+        dtype = nk.model_dtype()
+        self.lower = np.asarray(self.lower, dtype)
+        self.upper = np.asarray(self.upper, dtype)
         self.c = float(self.c)
         if self.lower.shape != self.upper.shape:
             raise nk.ShapeError("bounds shape mismatch")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
+        if not 0.0 < self.c <= 100.0:
+            raise ValueError(f"c must lie in (0, 100], got {self.c}")
 
     def rescale(self, u: np.ndarray) -> np.ndarray:
         """Map raw actor output in [-1,1] onto [lower, upper] per dimension."""
@@ -80,6 +86,7 @@ class ReprModel:
         if rng is None:
             rng = np.random.default_rng(0)
         self.env_spec = env_spec
+        self.dtype = nk.model_dtype()
         self.d1 = d1
         self.d2 = d2
         sd = env_spec.state_dim
@@ -106,10 +113,10 @@ class ReprModel:
         lin("dec_x", HIDDEN, mp, entries)
         lin("dec_cas", HIDDEN, HIDDEN, entries)
         lin("dec_d", HIDDEN, sd, entries)
-        self.params = nk.ParameterSet(entries)
+        self.params = nk.ParameterSet(entries, self.dtype)
         self.opt = nk.AdamState(self.params, lr=lr)
         # mask_table[k] selects action k's valid parameter dims
-        self.mask_table = np.zeros((env_spec.num_discrete, mp))
+        self.mask_table = np.zeros((env_spec.num_discrete, mp), self.dtype)
         for k, pd in enumerate(env_spec.param_dims):
             self.mask_table[k, :pd] = 1.0
         self.repair_rows(rng)
@@ -142,22 +149,26 @@ class ReprModel:
             raise IndexError(f"discrete action {k} out of range [0, {K})")
         return self.table[int(k)].copy()
 
+    # nn_decode/_batch compute in the dtype e and the table promote to:
+    # a caller that stores e checks it in the dtype it stores it in
+
     def nn_decode(self, e: np.ndarray) -> int:
-        d = self.table - np.asarray(e, dtype=np.float64)
+        d = self.table - np.asarray(e)
         return int(np.argmin(np.einsum("kd,kd->k", d, d)))
 
     def nn_decode_batch(self, e: np.ndarray) -> np.ndarray:
-        d = self.table[None, :, :] - np.asarray(e, dtype=np.float64)[:, None, :]
+        d = self.table[None, :, :] - np.asarray(e)[:, None, :]
         return np.argmin(np.einsum("bkd,bkd->bk", d, d), axis=1)
 
     def repair_rows(self, rng: np.random.Generator) -> int:
         """Re-perturb colliding rows until all pairwise distances exceed the
-        threshold.  Returns the number of perturbations applied."""
+        threshold.  Returns the number of perturbations applied.  Distances
+        are taken in float64: Gram-form float32 ones err by about 1e-7."""
         E = self.table
-        K = E.shape[0]
         fixes = 0
         while True:
-            g = E @ E.T
+            E64 = E.astype(np.float64)
+            g = E64 @ E64.T
             sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
             np.fill_diagonal(sq, np.inf)
             i, j = np.unravel_index(np.argmin(sq), sq.shape)
@@ -195,11 +206,11 @@ class ReprModel:
 
     def encode(self, s: np.ndarray, k, x_pad: np.ndarray):
         """(mu, log_std) for state s, discrete action k, padded parameters."""
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s, dtype=self.dtype)
         single = s.ndim == 1
         sb = s[None, :] if single else s
         kb = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        xb = np.asarray(x_pad, dtype=np.float64)
+        xb = np.asarray(x_pad, dtype=self.dtype)
         xb = xb[None, :] if xb.ndim == 1 else xb
         xb = xb * self.mask_table[kb]  # padded dims never reach the encoder
         t = nk.Tape(record=False)
@@ -212,12 +223,12 @@ class ReprModel:
 
     def _inference_trunk(self, z, s, e):
         """(single, tape, params, trunk) of a no-record decoder pass."""
-        z = np.asarray(z, dtype=np.float64)
+        z = np.asarray(z, dtype=self.dtype)
         single = z.ndim == 1
         zb = z[None, :] if single else z
-        sb = np.asarray(s, dtype=np.float64)
+        sb = np.asarray(s, dtype=self.dtype)
         sb = sb[None, :] if sb.ndim == 1 else sb
-        eb = np.asarray(e, dtype=np.float64)
+        eb = np.asarray(e, dtype=self.dtype)
         eb = eb[None, :] if eb.ndim == 1 else eb
         t = nk.Tape(record=False)
         pv = self.params.frozen_vars()
@@ -244,7 +255,7 @@ class ReprModel:
     def _loss_graph(self, t: nk.Tape, pv, s, k, x_pad, s_next, beta: float,
                     kl_weight: float, noise: np.ndarray):
         """(total_var, record) of the full loss on tape t over parameters pv."""
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s, dtype=self.dtype)
         if s.shape[0] == 0:
             raise ValueError("empty batch")
         kb = np.asarray(k, dtype=np.int64)
@@ -253,15 +264,15 @@ class ReprModel:
         # zero the padded dims before anything sees them: the whole loss is
         # then invariant to whatever garbage the padding carries
         mask = self.mask_table[kb]
-        x_masked = np.asarray(x_pad, dtype=np.float64) * mask
+        x_masked = np.asarray(x_pad, dtype=self.dtype) * mask
         mu, log_std = self._encode_graph(t, pv, nk.const(x_masked), cond)
-        z = t.gaussian(mu, log_std, noise)
+        z = t.gaussian(mu, log_std, np.asarray(noise, dtype=self.dtype))
         trunk = self._decode_trunk(t, pv, z, cond)
         x_rec = self._recon_head(t, pv, trunk)
         delta = self._dyn_head(t, pv, trunk)
         recon = t.mean(t.sq_dist(x_rec, x_masked, mask))
         kl = t.mean(t.kl_std_normal(mu, log_std))
-        dyn = t.mean(t.sq_dist(delta, np.asarray(s_next, dtype=np.float64) - s))
+        dyn = t.mean(t.sq_dist(delta, np.asarray(s_next, self.dtype) - s))
         vae = t.add_scaled(recon, kl, kl_weight)
         total = t.add_scaled(vae, dyn, beta)
         record = ReprLossRecord(total=float(total.data), vae=float(vae.data),
@@ -317,11 +328,9 @@ class ReprModel:
         return np.concatenate([self.table[kb], mu], axis=1)
 
     def latent_bounds(self, s, k, x_pad, c: float = 96.0) -> LatentBounds:
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s)
         if s.shape[0] < 100:
             raise ValueError(f"need at least 100 samples, got {s.shape[0]}")
-        if not 0.0 < c <= 100.0:
-            raise ValueError(f"c must lie in (0, 100], got {c}")
         lat = self.latents_of(s, k, x_pad)
         lo_p, hi_p = percentile_pair(c)
         lower = np.percentile(lat, lo_p, axis=0, method="linear")
@@ -331,7 +340,7 @@ class ReprModel:
     def export_latents(self, s, k, x_pad, s_next, path: str) -> int:
         """CSV rows (e..., z..., k, dyn_error) using the encoder mean as z."""
         kb = np.asarray(k, dtype=np.int64)
-        s = np.asarray(s, dtype=np.float64)
+        s = np.asarray(s, dtype=self.dtype)
         mu, _ls = self.encode(s, kb, x_pad)
         e = self.table[kb]
         _x_rec, delta = self.decode_and_predict(mu, s, e)

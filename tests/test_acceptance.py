@@ -39,7 +39,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _load_cached_run(name: str, env_id: str, seed: int, steps: int,
                      n: int | None = None, marker: str | None = None) -> float:
     """Final evaluation success of a cached run, after verifying that its
-    manifest matches the required configuration key for key."""
+    manifest matches the required configuration key for key and names the
+    current checkpoint format and numeric policy."""
     base = os.path.join(RUNS_DIR, name)
     done = os.path.join(RUNS_DIR, (marker or name) + ".done")
     if not (os.path.isfile(done) and os.path.isfile(os.path.join(base, "eval.csv"))):
@@ -64,6 +65,13 @@ def _load_cached_run(name: str, env_id: str, seed: int, steps: int,
         key, _, val = expect.partition(" = ")
         assert manifest.get(key) == val, \
             f"{name}: manifest has {key} = {manifest.get(key)!r}, need {val!r}"
+    # a run made under another numeric policy or checkpoint format is a
+    # run of other code: its numbers do not count for this one
+    for key, val in (("checkpoint_format", nk.MAGIC),
+                     ("numeric_policy", nk.TRAIN_DTYPE.name)):
+        assert manifest.get(key) == val, \
+            (f"{name}: manifest has {key} = {manifest.get(key)!r}, need "
+             f"{val!r}; re-make it with scripts/acceptance_runs.sh")
     with open(os.path.join(base, "eval.csv"), encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:

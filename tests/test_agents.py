@@ -309,6 +309,7 @@ def test_td_targets_clip_min_and_done_mask() -> None:
     assert np.array_equal(y[:4], batch.r[:4])
 
 
+@nk.float64_models()  # tolerance assumes float64
 def test_critic_update_reports_premove_loss() -> None:
     spec, cfg, model, nets = small_setup(gamma=0.0)
     rng = np.random.default_rng(23)
@@ -343,6 +344,7 @@ def test_critic_update_numeric_fault_skips() -> None:
         assert np.array_equal(prev, c.flat)
 
 
+@nk.float64_models()  # tolerance assumes float64
 def test_critic_gradients_match_finite_differences() -> None:
     spec, cfg, model, nets = small_setup()
     rng = np.random.default_rng(26)
@@ -363,6 +365,7 @@ def test_critic_gradients_match_finite_differences() -> None:
 
 # ---- actor updates -----------------------------------------------------
 
+@nk.float64_models()  # tolerance assumes float64
 def test_actor_gradients_match_finite_differences() -> None:
     """Gradient flows through the per-dim rescale into the actor."""
     spec, cfg, model, nets = small_setup()
@@ -494,3 +497,49 @@ def test_cached_frozen_vars_never_gain_a_grad() -> None:
         for name, v in fv.items():
             assert v.stop and v.grad is None, name
             assert np.shares_memory(v.data, p[name]), name
+
+
+# ---- float32 training policy ---------------------------------------------
+
+# of each gradient's largest entry; measured errors are 1e-7 to 5e-7
+F32_GRAD_RTOL = 1e-5
+
+
+def test_float32_gradients_track_float64() -> None:
+    """The float32 critic, actor and representation gradients agree with
+    float64 gradients of the same weights and batch to F32_GRAD_RTOL of
+    the largest float64 entry."""
+    spec, cfg, m32, n32 = small_setup(seed=40)
+    with nk.float64_models():
+        _spec, _cfg, m64, n64 = small_setup(seed=40)
+        b64 = LatentBounds(np.full(D1 + D2, -1.5), np.full(D1 + D2, 2.0), 96.0)
+    for p32, p64 in ([(m32.params, m64.params), (n32.actor, n64.actor)]
+                     + list(zip(n32.critics, n64.critics))
+                     + list(zip(n32.target_critics, n64.target_critics))
+                     + [(n32.target_actor, n64.target_actor)]):
+        p64.flat[...] = p32.flat  # the same weights, exactly
+    b32 = LatentBounds(b64.lower, b64.upper, 96.0)
+    rng = np.random.default_rng(41)
+    cols = vars(consistent_batch(spec, m64, 32, rng)).values()
+    f32 = Batch(*(v.astype(np.float32) if v.dtype.kind == "f" else v
+                  for v in cols))
+    f64 = Batch(*(v.astype(np.float64) if v.dtype.kind == "f" else v
+                  for v in vars(f32).values()))
+    noise = rng.standard_normal((32, D2)).astype(np.float32)
+
+    def grads(model, nets, bt, bounds):
+        lat = np.concatenate([bt.e, bt.z], axis=1)
+        y = td_targets(nets, cfg, bt, bounds)
+        out = {f"critic{i}": critic_loss_grads(nets, i, bt.s, lat, y)[1]
+               for i in range(2)}
+        out["actor"] = actor_loss_grads(nets, bt.s, bounds)[1]
+        out["repr"] = model.loss_grads(bt.s, bt.k, bt.x, bt.s_next, 10.0, 0.5,
+                                       noise)[1]
+        return {k: v.copy() for k, v in out.items()}
+
+    g32 = grads(m32, n32, f32, b32)
+    g64 = grads(m64, n64, f64, b64)
+    for name in g64:
+        assert g32[name].dtype == np.float32 and g64[name].dtype == np.float64
+        err = np.abs(g32[name] - g64[name]).max() / np.abs(g64[name]).max()
+        assert err < F32_GRAD_RTOL, (name, err)

@@ -83,13 +83,33 @@ def test_checkpoint_roundtrip_exact(tmp_path) -> None:
 
 def test_checkpoint_manifest_is_text(tmp_path) -> None:
     path = str(tmp_path / "ck.hyar")
-    nk.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
+    nk.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3),
+                              "h": np.arange(3, dtype=np.float32)})
     raw = open(path, "rb").read()
     header = raw.split(b"\n")
-    assert header[0] == b"HYAR-CKPT-1"
-    assert header[1] == b"entries 1"
-    assert header[2] == b"w 2x3 0 6"
-    assert header[3] == b"blob 48"
+    assert header[0] == b"HYAR-CKPT-2"
+    assert header[1] == b"entries 2"
+    assert header[2] == b"w 2x3 0 6 f8"
+    assert header[3] == b"h 3 48 3 f4"
+    assert header[4] == b"blob 60"
+
+
+def test_checkpoint_float32_entries_stored_as_f4_byte_exact(tmp_path) -> None:
+    rng = np.random.default_rng(78)
+    entries = {"w32": rng.normal(size=(5, 3)).astype(np.float32),
+               "v64": rng.normal(size=4),
+               "t": np.float64(7.0),
+               "b32": rng.normal(size=3).astype(np.float32)}
+    path = str(tmp_path / "mixed.hyar")
+    nk.save_checkpoint(path, entries)
+    lines = open(path, "rb").read().split(b"\n")[2:6]
+    assert [ln.split()[-1] for ln in lines] == [b"f4", b"f8", b"f8", b"f4"]
+    back = nk.load_checkpoint(path)
+    for name, v in entries.items():
+        assert back[name].dtype == np.asarray(v).dtype
+        assert back[name].tobytes() == np.asarray(v).tobytes()
+    # offsets count 4 bytes per f4 value: 15 * 4 + 5 * 8 = 100
+    assert lines[-1] == b"b32 3 100 3 f4"
 
 
 def test_checkpoint_malformed_raises(tmp_path) -> None:

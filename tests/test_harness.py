@@ -163,6 +163,48 @@ def test_warmup_deterministic() -> None:
     assert np.array_equal(a.bounds.lower, b.bounds.lower)
 
 
+def test_training_keeps_every_gradient_in_its_vars_dtype(monkeypatch) -> None:
+    """No float64 value leaks into a float32 training graph: over warm-up,
+    pre-training, RL steps with relabelling and bounds refreshes, every
+    gradient the tape accumulates has the dtype of the Var it lands on
+    (0-d losses are float64 by design, and so are their adjoints)."""
+    import hyar.harness.loop as loop
+    import hyar.numkit.tape as tape
+    seen, leaks, relabels = [0], [], []
+    acc = tape._acc
+
+    def guarded(v, g):
+        seen[0] += 1
+        if np.asarray(g).dtype != np.asarray(v.data).dtype:
+            leaks.append((np.asarray(g).dtype, np.asarray(v.data).dtype,
+                          np.shape(v.data)))
+        acc(v, g)
+
+    relabel = loop.relabel_batch
+
+    def counted(*args, **kwargs):
+        batch, stats = relabel(*args, **kwargs)
+        relabels.append(stats)
+        return batch, stats
+
+    monkeypatch.setattr(tape, "_acc", guarded)
+    monkeypatch.setattr(loop, "relabel_batch", counted)
+    tr = Trainer(build_config(overrides=tiny_overrides("/tmp/unused-d")))
+    tr.warmup_stage()
+    while tr.env_step < 500:
+        tr._training_episode()
+    assert tr.nets.actor_updates > 0 and tr.bounds_refreshes > 1
+    assert sum(r.discrete_relabeled + r.continuous_relabeled
+               for r in relabels) > 0
+    assert seen[0] > 0 and leaks == [], leaks[:5]
+    f32 = np.dtype(np.float32)
+    for arr in (tr.model.params.flat, tr.model.params.grad, tr.model.opt.m,
+                tr.model.mask_table, tr.nets.actor.grad, tr.nets.opt_actor.v,
+                tr.nets.target_critics[1].flat, tr.buffer.s, tr.buffer.r,
+                tr.buffer.done, tr.bounds.lower):
+        assert arr.dtype == f32
+
+
 # ---- training loop accounting ------------------------------------------
 
 def test_update_and_refresh_accounting() -> None:
@@ -203,6 +245,8 @@ def test_manifest_lists_every_key_and_hash() -> None:
         assert f"{key} = " in text
     sha = nk.git_blob_sha1(os.path.join(out, "final.ckpt"))
     assert f"checkpoint_sha1 = {sha}" in text
+    assert "checkpoint_format = HYAR-CKPT-2\n" in text
+    assert "numeric_policy = float32\n" in text
     assert summary["checkpoint_sha1"] == sha
 
 
@@ -357,6 +401,21 @@ def _manifest_edit(line: int, field: int, text: str):
     return apply
 
 
+def _as_ckpt1(src: str, dst: str) -> None:
+    """Rewrite a checkpoint in the older HYAR-CKPT-1 layout: no dtype
+    field, every value float64."""
+    entries = nk.load_checkpoint(src)
+    lines, blob = ["HYAR-CKPT-1", f"entries {len(entries)}"], b""
+    for name, v in entries.items():
+        a = np.asarray(v, dtype="<f8")
+        shape = "x".join(map(str, a.shape)) or "0d"
+        lines.append(f"{name} {shape} {len(blob)} {a.size}")
+        blob += a.tobytes()
+    lines.append(f"blob {len(blob)}")
+    with open(dst, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8") + blob)
+
+
 def _set(name: str, value):
     """Replace entry `name` by value, or by value(entries) if callable."""
     return _entries_edit(lambda d: d.__setitem__(
@@ -378,6 +437,8 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_manifest_edit(BLOB_LINE, 1, "1e6"), id="blob-not-int"),
     pytest.param(_manifest_edit(FIRST_ENTRY, 2, "-8"), id="negative-offset"),
     pytest.param(_manifest_edit(FIRST_ENTRY, 3, "-1"), id="negative-count"),
+    pytest.param(_manifest_edit(FIRST_ENTRY, 4, "f2"), id="unknown-dtype"),
+    pytest.param(_as_ckpt1, id="ckpt1-format"),
     pytest.param(_set("buffer.cursor", np.float64(CAPACITY)), id="cursor-at-capacity"),
     pytest.param(_set("buffer.cursor", np.float64(-1.0)), id="cursor-negative"),
     pytest.param(_set("buffer.cursor", np.float64(2.5)), id="cursor-not-int"),
@@ -391,6 +452,8 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_set("bounds.upper", lambda d: np.r_[np.inf,
                                                       d["bounds.upper"][1:]]),
                  id="bounds-inf"),
+    pytest.param(_set("bounds.c", np.float64(np.nan)), id="bounds-c-nan"),
+    pytest.param(_set("bounds.c", np.float64(250.0)), id="bounds-c-over-100"),
     pytest.param(_set("buffer.k", lambda d: np.r_[-1.0, d["buffer.k"][1:]]),
                  id="k-negative"),
     pytest.param(_set("buffer.k", lambda d: np.r_[999.0, d["buffer.k"][1:]]),

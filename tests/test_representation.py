@@ -193,6 +193,7 @@ def test_empty_batch_raises() -> None:
                     np.zeros((0, 4)), noise=np.zeros((0, 3)))
 
 
+@nk.float64_models()  # tolerance assumes float64
 def test_loss_gradients_match_finite_differences() -> None:
     m = small_model(seed=11)
     rng = np.random.default_rng(12)
