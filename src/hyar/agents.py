@@ -76,6 +76,11 @@ class AgentConfig:
         kw.setdefault("policy_delay", 1)
         return cls(algo="ddpg", **kw)
 
+    def check_buffer_holds(self, rows: int) -> None:
+        if self.buffer_capacity < rows:
+            raise ConfigError(
+                f"buffer capacity {self.buffer_capacity} below batch size {rows}")
+
     @property
     def num_critics(self) -> int:
         return 2 if self.algo == "td3" else 1
@@ -152,7 +157,7 @@ class ReplayBuffer:
     def slot(self, prefix: str, num_discrete: int) -> nk.Slot:
         """Checkpoint slot of the stored rows (one entry per Batch column,
         cut to size) and the write cursor.  Loaded k must be integers in
-        [0, num_discrete)."""
+        [0, num_discrete); below capacity the cursor must equal the size."""
         def save() -> dict:
             out = {f"{prefix}.{c}": getattr(self, c)[:self.size]
                    for c in COLUMNS}
@@ -166,6 +171,9 @@ class ReplayBuffer:
                     "checkpointed buffer exceeds configured capacity")
             cursor = nk.as_int(nk.entry(d, f"{prefix}.cursor", ()),
                                f"{prefix}.cursor", 0, self.capacity)
+            if n < self.capacity and cursor != n:
+                raise nk.CheckpointError(
+                    f"{prefix}.cursor: {cursor} but {n} rows below capacity")
             k = nk.entry(d, f"{prefix}.k", (n,))
             if not np.all((k == np.rint(k)) & (k >= 0) & (k < num_discrete)):
                 raise nk.CheckpointError(

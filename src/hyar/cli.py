@@ -15,19 +15,21 @@ from .harness import (Trainer, build_config, evaluate, gradcheck_suite,
 from .harness.gradcheck import TOLERANCE
 
 
+# train flag -> the config key it overrides; build_config parses the value
+TRAIN_FLAGS = {"--env": "env.id", "--n": "env.n", "--algo": "run.algo",
+               "--seed": "run.seed", "--steps": "run.total_env_steps",
+               "--out": "run.out_dir"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hyar",
                                 description="Hybrid-action RL laboratory")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     tr = sub.add_parser("train", help="run one training job")
-    tr.add_argument("--env", help="environment id")
-    tr.add_argument("--n", type=int, help="hard_move actuator count")
-    tr.add_argument("--algo", choices=("hyar-td3", "hyar-ddpg"))
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--steps", type=int, help="total env steps incl. warm-up")
+    for flag, key in TRAIN_FLAGS.items():
+        tr.add_argument(flag, dest=key, help=f"sets {key}")
     tr.add_argument("--config", help="flat key = value config file")
-    tr.add_argument("--out", help="output directory")
     tr.add_argument("--resume", help="checkpoint to continue from")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -48,25 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _train_overrides(args) -> dict:
-    over: dict = {}
-    if args.env is not None:
-        over["env.id"] = args.env
-    if args.n is not None:
-        over["env.n"] = args.n
-    if args.algo is not None:
-        over["run.algo"] = args.algo
-    if args.seed is not None:
-        over["run.seed"] = args.seed
-    if args.steps is not None:
-        over["run.total_env_steps"] = args.steps
-    if args.out is not None:
-        over["run.out_dir"] = args.out
-    return over
-
-
 def _cmd_train(args) -> int:
-    overrides = _train_overrides(args)
+    overrides = {key: getattr(args, key) for key in TRAIN_FLAGS.values()
+                 if getattr(args, key) is not None}
     if args.resume:
         trainer = Trainer.from_checkpoint(args.resume, overrides)
     else:

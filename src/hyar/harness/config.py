@@ -2,87 +2,63 @@
 
 Config files are UTF-8 text, one `section.key = value` per line, `#` comments.
 CLI flags override file values.  Agent hyperparameters default to the chosen
-algorithm's preset; a key set here overrides the preset.
+algorithm's preset; a key set here overrides the preset.  The `agent.*` keys
+are the fields of AgentConfig, which declares their types, defaults and checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from ..agents import AgentConfig
 from ..envs import make
 from ..errors import ConfigError
 
-ALGOS = ("hyar-td3", "hyar-ddpg")
+# run.algo value -> agent preset
+ALGOS = {"hyar-td3": AgentConfig.td3, "hyar-ddpg": AgentConfig.ddpg}
 
 # warm-up step budgets per environment (reduced "new" budgets)
 WARMUP_DEFAULTS = {"platform": 5000, "goal": 5000, "hard_goal": 5000,
                    "catch_point": 20000, "hard_move": 20000}
 
 
-def _int(s: str) -> int:
-    return int(s)
+def _optional(kind):
+    """Parser of `kind` that reads `none` as None (unset)."""
+    def parse(s: str):
+        return None if s.lower() == "none" else kind(s)
+    return parse
 
 
-def _float(s: str) -> float:
-    return float(s)
-
-
-def _str(s: str) -> str:
-    return s
-
-
-def _opt_int(s: str):
-    return None if s.lower() == "none" else int(s)
-
-
-def _opt_float(s: str):
-    return None if s.lower() == "none" else float(s)
-
-
-# config key -> (RunConfig field, parser); also fixes manifest ordering
+# config key -> (RunConfig field, or AgentConfig field for agent.*, parser);
+# also fixes manifest ordering
 KEYS = {
-    "env.id": ("env_id", _str),
-    "env.n": ("env_n", _opt_int),
-    "run.algo": ("algo", _str),
-    "run.seed": ("seed", _int),
-    "run.total_env_steps": ("total_env_steps", _int),
-    "run.warmup_env_steps": ("warmup_env_steps", _opt_int),
-    "run.eval_interval": ("eval_interval", _int),
-    "run.eval_episodes": ("eval_episodes", _int),
-    "run.out_dir": ("out_dir", _str),
-    "repr.d1": ("d1", _int),
-    "repr.d2": ("d2", _int),
-    "repr.lr": ("repr_lr", _float),
-    "repr.c": ("c", _float),
-    "repr.beta": ("beta", _float),
-    "repr.kl_weight": ("kl_weight", _float),
-    "repr.pretrain_batches": ("pretrain_batches", _int),
-    "repr.batch": ("repr_batch", _int),
-    "repr.every_episodes": ("repr_every_episodes", _int),
-    "repr.ema_decay": ("ema_decay", _float),
-    "agent.gamma": ("gamma", _opt_float),
-    "agent.actor_lr": ("actor_lr", _opt_float),
-    "agent.critic_lr": ("critic_lr", _opt_float),
-    "agent.tau_actor": ("tau_actor", _opt_float),
-    "agent.tau_critic": ("tau_critic", _opt_float),
-    "agent.expl_sigma": ("expl_sigma", _opt_float),
-    "agent.batch_size": ("batch_size", _opt_int),
-    "agent.policy_delay": ("policy_delay", _opt_int),
-    "agent.buffer_capacity": ("buffer_capacity", _opt_int),
-    "agent.target_noise": ("target_noise", _opt_float),
-    "agent.target_noise_clip": ("target_noise_clip", _opt_float),
-    "agent.rsc_noise": ("rsc_noise", _opt_float),
-    "agent.rsc_redraws": ("rsc_redraws", _opt_int),
-    "agent.rsc_threshold_mult": ("rsc_threshold_mult", _opt_float),
+    "env.id": ("env_id", str),
+    "env.n": ("env_n", _optional(int)),
+    "run.algo": ("algo", str),
+    "run.seed": ("seed", int),
+    "run.total_env_steps": ("total_env_steps", int),
+    "run.warmup_env_steps": ("warmup_env_steps", _optional(int)),
+    "run.eval_interval": ("eval_interval", int),
+    "run.eval_episodes": ("eval_episodes", int),
+    "run.out_dir": ("out_dir", str),
+    "repr.d1": ("d1", int),
+    "repr.d2": ("d2", int),
+    "repr.lr": ("repr_lr", float),
+    "repr.c": ("c", float),
+    "repr.beta": ("beta", float),
+    "repr.kl_weight": ("kl_weight", float),
+    "repr.pretrain_batches": ("pretrain_batches", int),
+    "repr.batch": ("repr_batch", int),
+    "repr.every_episodes": ("repr_every_episodes", int),
+    "repr.ema_decay": ("ema_decay", float),
+    **{f"agent.{f.name}": (f.name, _optional(type(f.default)))
+       for f in fields(AgentConfig) if f.name != "algo"},
 }
-
-_AGENT_FIELDS = tuple(field for key, (field, _parse) in KEYS.items()
-                      if key.startswith("agent."))
 
 
 @dataclass
 class RunConfig:
-    """Everything one training run needs; agent fields None = algo preset."""
+    """Everything one training run needs; `agent` holds the agent.* values
+    set explicitly, each overriding the algo preset."""
 
     env_id: str = "platform"
     env_n: int | None = None
@@ -103,20 +79,7 @@ class RunConfig:
     repr_batch: int = 64
     repr_every_episodes: int = 10
     ema_decay: float = 0.99
-    gamma: float | None = None
-    actor_lr: float | None = None
-    critic_lr: float | None = None
-    tau_actor: float | None = None
-    tau_critic: float | None = None
-    expl_sigma: float | None = None
-    batch_size: int | None = None
-    policy_delay: int | None = None
-    buffer_capacity: int | None = None
-    target_noise: float | None = None
-    target_noise_clip: float | None = None
-    rsc_noise: float | None = None
-    rsc_redraws: int | None = None
-    rsc_threshold_mult: float | None = None
+    agent: dict = field(default_factory=dict)
 
     def warmup(self) -> int:
         if self.warmup_env_steps is not None:
@@ -125,12 +88,10 @@ class RunConfig:
 
     def agent_config(self) -> AgentConfig:
         if self.algo not in ALGOS:
-            raise ConfigError(f"unknown algo {self.algo!r}; expected {ALGOS}")
-        overrides = {f: getattr(self, f) for f in _AGENT_FIELDS
-                     if getattr(self, f) is not None}
-        preset = (AgentConfig.td3 if self.algo == "hyar-td3"
-                  else AgentConfig.ddpg)
-        return preset(**overrides)
+            raise ConfigError(
+                f"unknown algo {self.algo!r}; expected one of {tuple(ALGOS)}")
+        return ALGOS[self.algo](**{name: v for name, v in self.agent.items()
+                                   if v is not None})
 
     def validate(self) -> None:
         spec = make(self.env_id, self.env_n).spec()  # raises ConfigError itself
@@ -162,29 +123,21 @@ class RunConfig:
         if warm < need:
             raise ConfigError(
                 f"warm-up of {warm} steps cannot fill one batch (need {need})")
-        if acfg.buffer_capacity < need:
-            raise ConfigError(
-                f"buffer capacity {acfg.buffer_capacity} below batch size {need}")
+        acfg.check_buffer_holds(need)
         if spec.max_param_dim < 1:
             raise ConfigError("environment exposes no continuous parameters")
 
-    def _value_for(self, key: str) -> str:
-        field, _parse = KEYS[key]
-        if field in _AGENT_FIELDS:
-            v = getattr(self.agent_config(), field)
-        elif field == "warmup_env_steps":
-            v = self.warmup()
-        else:
-            v = getattr(self, field)
-        if v is None:
-            return "none"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     def manifest_lines(self) -> list[str]:
         """Every key with its fully resolved value, in KEYS order."""
-        return [f"{key} = {self._value_for(key)}" for key in KEYS]
+        acfg = self.agent_config()
+        lines = []
+        for key, (name, _parse) in KEYS.items():
+            if name == "warmup_env_steps":
+                v = self.warmup()
+            else:
+                v = getattr(acfg if key.startswith("agent.") else self, name)
+            lines.append(f"{key} = {'none' if v is None else v}")
+        return lines
 
     def config_text(self) -> str:
         """Flat config-file form; parsing it back resolves identically."""
@@ -215,17 +168,21 @@ def parse_config_file(path: str) -> dict:
 
 def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> RunConfig:
-    """Layer raw file values then overrides (raw strings or typed) on defaults."""
+    """Layer file values then overrides on defaults.  Every value, raw string
+    or typed, goes through its key's parser as text, so a typed override is
+    read exactly as the same value in a file would be."""
     cfg = RunConfig()
     for source in (file_values or {}, overrides or {}):
         for key, val in source.items():
             if key not in KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            field, parse = KEYS[key]
-            if isinstance(val, str):
-                try:
-                    val = parse(val)
-                except ValueError:
-                    raise ConfigError(f"bad value for {key}: {val!r}") from None
-            setattr(cfg, field, val)
+            name, parse = KEYS[key]
+            try:
+                val = parse(str(val))
+            except ValueError:
+                raise ConfigError(f"bad value for {key}: {val!r}") from None
+            if key.startswith("agent."):
+                cfg.agent[name] = val
+            else:
+                setattr(cfg, name, val)
     return cfg

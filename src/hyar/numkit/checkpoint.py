@@ -25,6 +25,7 @@ checkpoint's whole layout; gather() turns it into the entries to save.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -131,7 +132,7 @@ def load_checkpoint(path: str) -> dict:
             f"blob truncated: expected {total} bytes, got {len(blob)}")
     out = {}
     for name, shape, off, count, dtype in specs:
-        expect = int(np.prod(shape)) if shape else 1
+        expect = math.prod(shape)  # exact: np.prod wraps at 2**63
         if count != expect:
             raise CheckpointError(f"{name}: count {count} vs shape {shape}")
         if off + count * dtype.itemsize > total:

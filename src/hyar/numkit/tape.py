@@ -110,25 +110,17 @@ class Tape:
     # ---- primitive ops -------------------------------------------------
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:
-        """y = x @ w.T + b with w shaped (out_dim, in_dim)."""
+        """y = x @ w.T + b with x shaped (batch, in_dim) and w shaped
+        (out_dim, in_dim)."""
         xd, wd = x.data, w.data
-        if xd.ndim == 1:
-            if xd.shape[0] != wd.shape[1]:
-                raise ShapeError(f"affine: input {xd.shape} vs weight {wd.shape}")
-            out = Var(wd @ xd + b.data)
-        else:
-            if xd.shape[1] != wd.shape[1]:
-                raise ShapeError(f"affine: input {xd.shape} vs weight {wd.shape}")
-            out = Var(xd @ wd.T + b.data)
+        if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+            raise ShapeError(f"affine: input {xd.shape} vs weight {wd.shape}")
+        out = Var(xd @ wd.T + b.data)
         if self.record:
             def back(g, x=x, w=w, b=b, xd=xd, wd=wd):
                 if not w.stop:
-                    if xd.ndim == 1:
-                        _acc(w, np.outer(g, xd))
-                        _acc(b, g)
-                    else:
-                        _acc_out(w, np.matmul, g.T, xd)
-                        _acc_out(b, np.sum, g, axis=0)
+                    _acc_out(w, np.matmul, g.T, xd)
+                    _acc_out(b, np.sum, g, axis=0)
                 if not x.stop:
                     _acc(x, g @ wd)
             self._steps.append((out, back))

@@ -127,6 +127,14 @@ def test_checkpoint_malformed_raises(tmp_path) -> None:
         nk.load_checkpoint(path)
     with pytest.raises(nk.CheckpointError):
         nk.load_checkpoint(str(tmp_path / "missing.hyar"))
+    # a shape whose int64 product wraps to the stored count of 0
+    nk.save_checkpoint(path, {"w": np.zeros(0)})
+    raw = open(path, "rb").read().replace(b"w 0 0 0 f8",
+                                          b"w 4611686018427387904x4 0 0 f8")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    with pytest.raises(nk.CheckpointError):
+        nk.load_checkpoint(path)
 
 
 def test_git_blob_sha1_matches_git(tmp_path) -> None:

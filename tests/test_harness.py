@@ -5,6 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyar import numkit as nk
 from hyar.cli import main as cli_main
@@ -96,6 +97,36 @@ def test_algo_picks_agent_preset() -> None:
     tweaked = build_config(overrides={"run.algo": "hyar-ddpg",
                                       "agent.critic_lr": 5e-4}).agent_config()
     assert tweaked.critic_lr == 5e-4 and tweaked.actor_lr == 1e-4
+
+
+def test_typed_overrides_take_the_file_parse_path(tmp_path) -> None:
+    """A typed override is read as the same value in a file would be, so a
+    run that trains can also be evaluated from its embedded config."""
+    for bad in ({"run.seed": 1.5}, {"agent.batch_size": 128.0}):
+        with pytest.raises(ConfigError):
+            build_config(overrides=bad)
+    assert cli_main(["train", "--algo", "td3",
+                     "--out", str(tmp_path / "never")]) == 2
+    assert not os.path.exists(tmp_path / "never")
+    cfg = build_config(overrides={"env.n": 8, "agent.actor_lr": 2e-4})
+    assert cfg.env_n == 8 and cfg.agent_config().actor_lr == 2e-4
+    preset = build_config({"agent.gamma": "0.9"},
+                          {"agent.gamma": "none"}).agent_config()
+    assert preset == RunConfig().agent_config()
+
+
+def test_manifest_order_matches_committed_det_a() -> None:
+    """KEYS, with the agent.* keys in AgentConfig field order, fixes the
+    manifest order of runs already on disk."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "runs_cache",
+                        "det-a", "run-manifest.txt")
+    with open(path, encoding="utf-8") as fh:
+        committed = fh.read().splitlines()
+    cfg = build_config(overrides={"env.id": "platform", "run.seed": "11",
+                                  "run.total_env_steps": "20000",
+                                  "run.out_dir": "runs_cache/det-a"})
+    assert len(KEYS) == 33
+    assert cfg.manifest_lines() == committed[:33]
 
 
 def test_derive_seed_is_stable() -> None:
@@ -442,6 +473,8 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_set("buffer.cursor", np.float64(CAPACITY)), id="cursor-at-capacity"),
     pytest.param(_set("buffer.cursor", np.float64(-1.0)), id="cursor-negative"),
     pytest.param(_set("buffer.cursor", np.float64(2.5)), id="cursor-not-int"),
+    pytest.param(_set("buffer.cursor", lambda d: np.float64(
+        d["buffer.s"].shape[0] - 100)), id="cursor-behind-size"),
     pytest.param(_set("repr_opt.t", np.float64(np.nan)), id="adam-step-nan"),
     pytest.param(_set("state.scalars", np.zeros(3)), id="scalars-short"),
     pytest.param(_set("bounds.lower", lambda d: d["bounds.upper"] + 1.0),
@@ -468,6 +501,52 @@ def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> Non
     assert cli_main(["eval", "--ckpt", bad, "--episodes", "1",
                      "--seed", "0"]) == 4
     assert "io error" in capsys.readouterr().err
+
+
+def _tiny_ckpt() -> tuple[bytes, int]:
+    """The tiny run's final checkpoint and the length of its manifest."""
+    _tr, out, _summary = tiny_run()
+    with open(os.path.join(out, "final.ckpt"), "rb") as fh:
+        raw = fh.read()
+    return raw, raw.index(b"\n", raw.index(b"\nblob ") + 1) + 1
+
+
+def _loads_or_raises_checkpoint_error(raw: bytes) -> None:
+    """Load raw as a checkpoint file; any exception but CheckpointError
+    fails the test."""
+    path = os.path.join(tiny_run()[1], "fuzz.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    try:
+        nk.load_checkpoint(path)
+    except nk.CheckpointError:
+        pass
+
+
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
+                database=None)
+
+
+@FUZZ
+@given(data=st.data())
+def test_truncated_checkpoint_loads_or_raises_checkpoint_error(data) -> None:
+    raw, head = _tiny_ckpt()
+    cut = data.draw(st.one_of(st.integers(0, head), st.integers(0, len(raw))))
+    _loads_or_raises_checkpoint_error(raw[:cut])
+
+
+@FUZZ
+@given(data=st.data())
+def test_edited_manifest_field_loads_or_raises_checkpoint_error(data) -> None:
+    raw, head = _tiny_ckpt()
+    lines = raw[:head].decode("utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    parts = lines[i].split()
+    text = data.draw(st.one_of(st.text(), st.integers().map(str)))
+    parts[data.draw(st.integers(0, len(parts) - 1))] = text
+    lines[i] = " ".join(parts)
+    _loads_or_raises_checkpoint_error(
+        ("\n".join(lines) + "\n").encode("utf-8") + raw[head:])
 
 
 def test_cli_train_uses_config_file(tmp_path) -> None:

@@ -107,9 +107,9 @@ def test_concat_rows_rescale_grads() -> None:
     assert np.all(gt[2] == 0.0)
 
 
-def test_neg_mean_and_1d_affine() -> None:
+def test_neg_mean_and_batched_affine() -> None:
     rng = np.random.default_rng(17)
-    x = rng.normal(size=5)
+    x = rng.normal(size=(3, 5))
     w = rng.normal(size=(4, 5))
     b = rng.normal(size=4)
 
@@ -175,10 +175,16 @@ def test_op_table_covers_every_tape_op() -> None:
 
 def test_norecord_tape_matches_forward_and_rejects_backward() -> None:
     """Every op gives the recording tape's output bit for bit without
-    recording, on 1-D, batch-1 and batch-128 inputs."""
+    recording, on 1-D, batch-1 and batch-128 inputs; affine takes batches
+    only and rejects a 1-D input on either tape."""
     for lead in [(), (1,), (128,)]:
         for name, build in _op_calls(np.random.default_rng(3), lead).items():
             t1, t2 = nk.Tape(), nk.Tape(record=False)
+            if name == "affine" and not lead:
+                for t in (t1, t2):
+                    with pytest.raises(nk.ShapeError):
+                        build(t)
+                continue
             y1, y2 = build(t1), build(t2)
             assert np.shape(y1.data) == np.shape(y2.data), (name, lead)
             assert np.array_equal(y1.data, y2.data), (name, lead)
