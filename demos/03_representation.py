@@ -48,11 +48,12 @@ def main():
     print("\nnearest-row decoding of table rows + gaussian noise:")
     nrng = np.random.default_rng(3)
     for sigma in (0.05, 0.2, 0.5):
-        hits = 0
+        ks, es = [], []
         for _ in range(400):
-            k = int(nrng.integers(K))
-            e = model.embed_lookup(k) + sigma * nrng.standard_normal(model.d1)
-            hits += model.nn_decode(e) == k
+            ks.append(int(nrng.integers(K)))
+            es.append(model.embed_lookup(ks[-1])
+                      + sigma * nrng.standard_normal(model.d1))
+        hits = int(np.sum(model.nn_decode_batch(np.array(es)) == ks))
         print(f"  noise sigma {sigma:.2f}: {hits}/400 recovered")
 
     s, k, x, s_next = world(2000, np.random.default_rng(4))

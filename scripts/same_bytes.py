@@ -1,0 +1,87 @@
+"""Check that the working tree's src/ trains byte-identical runs to a revision.
+
+    python3 scripts/same_bytes.py [REV]        (REV defaults to HEAD)
+
+The script extracts REV's src/ with `git archive` into a temporary
+directory, then trains five tiny configurations once with each side's src/
+on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
+written into the checkpoint's config entry).  For each configuration it
+compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
+byte and prints one line.  Exit status 0 means every file of every
+configuration is identical; 1 means something differs or a run failed.
+Each run takes a few seconds on one core.
+"""
+from __future__ import annotations
+
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FILES = ("metrics.csv", "eval.csv", "run-manifest.txt", "final.ckpt")
+SHARED = {"run.seed": 3, "run.total_env_steps": 900,
+          "run.warmup_env_steps": 300, "run.eval_interval": 300,
+          "run.eval_episodes": 2, "repr.pretrain_batches": 30}
+CONFIGS = {
+    "platform-td3": {"env.id": "platform", "run.algo": "hyar-td3"},
+    "platform-ddpg": {"env.id": "platform", "run.algo": "hyar-ddpg"},
+    "catch_point-td3": {"env.id": "catch_point", "run.algo": "hyar-td3"},
+    "goal-td3": {"env.id": "goal", "run.algo": "hyar-td3"},
+    "hard_move8-td3": {"env.id": "hard_move", "env.n": 8,
+                       "run.algo": "hyar-td3"},
+}
+
+
+def extract_src(rev: str, dest: str) -> str:
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                         cwd=ROOT, check=True, capture_output=True).stdout
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, **safe)
+    return os.path.join(dest, "src")
+
+
+def train(src: str, keys: dict, out: str, cfg_path: str) -> dict:
+    """Train one run into out; return {file name: bytes} (None if missing)."""
+    shutil.rmtree(out, ignore_errors=True)
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        for key, val in {**SHARED, **keys, "run.out_dir": out}.items():
+            fh.write(f"{key} = {val}\n")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-m", "hyar.cli", "train",
+                          "--config", cfg_path], env=env, capture_output=True,
+                         text=True, timeout=600)
+    if res.returncode != 0:
+        sys.stderr.write(res.stderr)
+    paths = {name: Path(out, name) for name in FILES}
+    return {name: p.read_bytes() if p.exists() else None
+            for name, p in paths.items()}
+
+
+def main(argv: list[str]) -> int:
+    rev = argv[0] if argv else "HEAD"
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        old_src = extract_src(rev, os.path.join(tmp, "rev"))
+        new_src = os.path.join(ROOT, "src")
+        out = os.path.join(tmp, "out")
+        cfg = os.path.join(tmp, "run.cfg")
+        for name, keys in CONFIGS.items():
+            old = train(old_src, keys, out, cfg)
+            new = train(new_src, keys, out, cfg)
+            bad = [f for f in FILES if old[f] is None or old[f] != new[f]]
+            ok = ok and not bad
+            print(f"{name}: " + ("identical" if not bad else
+                                 "DIFFERS in " + ", ".join(bad)), flush=True)
+    print(f"{rev} vs working tree: "
+          + ("all identical" if ok else "NOT identical"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numkit as nk
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_floats
 from .envs import HybridAction
 from .representation import LatentBounds, ReprModel
 
@@ -44,24 +44,21 @@ class AgentConfig:
     rsc_threshold_mult: float = 4.0
 
     def __post_init__(self):
+        check_finite_floats(self)
         if self.algo not in ("td3", "ddpg"):
             raise ConfigError(f"unknown algo {self.algo!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
         for name in ("actor_lr", "critic_lr", "tau_actor", "tau_critic",
-                     "expl_sigma"):
+                     "expl_sigma", "target_noise_clip", "rsc_threshold_mult"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if self.batch_size < 1 or self.policy_delay < 1:
-            raise ConfigError("batch_size and policy_delay must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ConfigError("buffer_capacity must be >= 1")
-        if self.target_noise < 0.0 or self.target_noise_clip <= 0.0:
-            raise ConfigError("bad target smoothing settings")
-        if self.rsc_noise < 0.0 or self.rsc_redraws < 0:
-            raise ConfigError("bad relabel settings")
-        if self.rsc_threshold_mult <= 0.0:
-            raise ConfigError("rsc_threshold_mult must be positive")
+        for name in ("target_noise", "rsc_noise", "rsc_redraws"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("batch_size", "policy_delay", "buffer_capacity"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     @classmethod
     def td3(cls, **kw) -> "AgentConfig":
@@ -156,8 +153,9 @@ class ReplayBuffer:
 
     def slot(self, prefix: str, num_discrete: int) -> nk.Slot:
         """Checkpoint slot of the stored rows (one entry per Batch column,
-        cut to size) and the write cursor.  Loaded k must be integers in
-        [0, num_discrete); below capacity the cursor must equal the size."""
+        cut to size) and the write cursor.  Loaded columns must be finite
+        and k integers in [0, num_discrete); below capacity the cursor must
+        equal the size."""
         def save() -> dict:
             out = {f"{prefix}.{c}": getattr(self, c)[:self.size]
                    for c in COLUMNS}
@@ -180,7 +178,7 @@ class ReplayBuffer:
                     f"{prefix}.k: not all integers in [0, {num_discrete})")
             for c in COLUMNS:
                 arr = getattr(self, c)
-                v = nk.entry(d, f"{prefix}.{c}", (n,) + arr.shape[1:])
+                v = nk.finite_entry(d, f"{prefix}.{c}", (n,) + arr.shape[1:])
                 arr[:n] = np.rint(v) if arr.dtype.kind == "i" else v
             self.size, self.cursor = n, cursor
         return nk.Slot(save, load)
@@ -221,12 +219,10 @@ class AgentNets:
         return out.data
 
     def actor_raw(self, s: np.ndarray, target: bool = False) -> np.ndarray:
-        """Pre-rescale policy output in [-1,1]^(d1+d2); single or batch."""
+        """Pre-rescale policy output in [-1,1]^(d1+d2) for states s (B, .)."""
         params = self.target_actor if target else self.actor
-        s = np.asarray(s, dtype=self.dtype)
-        if s.ndim == 1:
-            return self._eval(self.actor_spec, params, s[None, :])[0]
-        return self._eval(self.actor_spec, params, s)
+        return self._eval(self.actor_spec, params,
+                          np.asarray(s, dtype=self.dtype))
 
     def critic_value(self, i: int, s: np.ndarray, lat: np.ndarray,
                      target: bool = False) -> np.ndarray:
@@ -259,7 +255,7 @@ def select_latent_action(nets: AgentNets, bounds: LatentBounds, s: np.ndarray,
                          explore: bool = False,
                          rng: np.random.Generator | None = None):
     """(e, z) for one state: tanh actor, noise pre-rescale, clip, rescale."""
-    raw = nets.actor_raw(s)
+    raw = nets.actor_raw(s[None])[0]
     if explore:
         if rng is None:
             raise ValueError("explore=True needs an rng")
@@ -272,9 +268,9 @@ def select_latent_action(nets: AgentNets, bounds: LatentBounds, s: np.ndarray,
 def decode_action(repr_model: ReprModel, s: np.ndarray, e: np.ndarray,
                   z: np.ndarray) -> HybridAction:
     """Nearest-row lookup for k, then decode z conditioned on the table row."""
-    k = repr_model.nn_decode(e)
+    k = int(repr_model.nn_decode_batch(e[None])[0])
     row = repr_model.table[k]
-    x_rec = repr_model.decode(z, s, row)
+    x_rec = repr_model.decode(z[None], s[None], row[None])[0]
     pd = repr_model.env_spec.param_dims[k]
     return HybridAction(k, np.clip(x_rec[:pd], -1.0, 1.0))
 
@@ -317,7 +313,7 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
         for _ in range(redraws):
             cand = (row + rng.normal(0.0, noise, size=row.shape)).astype(
                 e.dtype)
-            if repr_model.nn_decode(cand) == k:
+            if repr_model.nn_decode_batch(cand[None])[0] == k:
                 e[i] = cand
                 break
         else:
@@ -365,10 +361,10 @@ def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
     return float(loss.data), nets.actor.grad
 
 
-def td_targets(nets: AgentNets, config: AgentConfig, batch: Batch,
-               bounds: LatentBounds,
+def td_targets(nets: AgentNets, batch: Batch, bounds: LatentBounds,
                rng: np.random.Generator | None = None) -> np.ndarray:
     """y = r + gamma * (1 - done) * min_j targetQ_j(s', target_actor(s'))."""
+    config = nets.config
     raw = nets.actor_raw(batch.s_next, target=True)
     if config.target_noise > 0.0:
         if rng is None:
@@ -383,15 +379,14 @@ def td_targets(nets: AgentNets, config: AgentConfig, batch: Batch,
     return batch.r + config.gamma * (1.0 - batch.done) * q_min
 
 
-def critic_update(nets: AgentNets, config: AgentConfig, batch: Batch,
-                  bounds: LatentBounds,
+def critic_update(nets: AgentNets, batch: Batch, bounds: LatentBounds,
                   rng: np.random.Generator | None = None) -> float:
     """One Adam step per critic on the clipped double-Q objective.
 
     Returns the mean critic loss (pre-update).  A numeric fault skips the
     faulting critic's step and bumps nets.fault_count instead of raising.
     """
-    y = td_targets(nets, config, batch, bounds, rng)
+    y = td_targets(nets, batch, bounds, rng)
     lat = np.concatenate([batch.e, batch.z], axis=1)
     losses = []
     for i in range(len(nets.critics)):
@@ -405,8 +400,7 @@ def critic_update(nets: AgentNets, config: AgentConfig, batch: Batch,
     return float(np.mean(losses))
 
 
-def actor_update(nets: AgentNets, config: AgentConfig, batch: Batch,
-                 bounds: LatentBounds) -> float:
+def actor_update(nets: AgentNets, batch: Batch, bounds: LatentBounds) -> float:
     """Deterministic policy gradient step, then soft-update every target."""
     loss, grads = actor_loss_grads(nets, batch.s, bounds)
     try:
@@ -414,6 +408,6 @@ def actor_update(nets: AgentNets, config: AgentConfig, batch: Batch,
     except nk.NumericFault:
         nets.fault_count += 1
         return loss
-    nets.sync_targets(config.tau_actor, config.tau_critic)
+    nets.sync_targets(nets.config.tau_actor, nets.config.tau_critic)
     nets.actor_updates += 1
     return loss

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 from ..agents import AgentConfig
 from ..envs import make
-from ..errors import ConfigError
+from ..errors import ConfigError, check_finite_floats
 
 # run.algo value -> agent preset
 ALGOS = {"hyar-td3": AgentConfig.td3, "hyar-ddpg": AgentConfig.ddpg}
@@ -94,6 +94,7 @@ class RunConfig:
                                    if v is not None})
 
     def validate(self) -> None:
+        check_finite_floats(self)
         spec = make(self.env_id, self.env_n).spec()  # raises ConfigError itself
         acfg = self.agent_config()
         if self.seed < 0:

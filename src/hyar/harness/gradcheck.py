@@ -47,15 +47,15 @@ def gradcheck_suite(samples_per_entry: int = 4, seed: int = 0) -> dict:
     for group, names in model.groups().items():
         results[_GROUP_LABELS[group]] = max(report[n] for n in names)
 
-    cfg = AgentConfig.td3()
-    nets = AgentNets(spec.state_dim, model.d1, model.d2, cfg, rng)
+    nets = AgentNets(spec.state_dim, model.d1, model.d2, AgentConfig.td3(),
+                     rng)
     lo = rng.uniform(-2.0, -0.5, size=model.d1 + model.d2)
     hi = rng.uniform(0.5, 2.0, size=model.d1 + model.d2)
     bounds = LatentBounds(lo, hi, 96.0)
     batch = Batch(s=s, k=k, x=x, e=model.table[k].copy(),
                   z=rng.normal(size=(B, model.d2)), r=rng.normal(size=B),
                   s_next=s_next, done=np.zeros(B))
-    y = td_targets(nets, cfg, batch, bounds)
+    y = td_targets(nets, batch, bounds)
     lat = np.concatenate([batch.e, batch.z], axis=1)
     for i in range(len(nets.critics)):
         _loss, cgrads = critic_loss_grads(nets, i, batch.s, lat, y)

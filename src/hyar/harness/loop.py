@@ -92,7 +92,7 @@ def evaluate(nets: AgentNets, repr_model: ReprModel, bounds: LatentBounds,
 
 class IntervalAccum:
     """Sum and count (name_sum, name_n) per mean column of metrics.csv over
-    one eval interval; FIELDS is their checkpoint order."""
+    one eval interval; NAMES is in column order, FIELDS in checkpoint order."""
 
     NAMES = ("vae", "dyn", "critic", "actor", "cover")
     FIELDS = tuple(f"{n}_{part}" for n in NAMES for part in ("sum", "n"))
@@ -202,9 +202,9 @@ class Trainer:
                 x = self.stream.uniform(-1.0, 1.0,
                                         size=self.spec.param_dims[k])
                 res = self.env.step(HybridAction(k, x))
-                mu, ls = self.model.encode(s, k, self._pad(x))
-                z = nk.reparam_sample(mu, ls,
-                                      self.stream.standard_normal(mu.shape))
+                mu, ls = self.model.encode(s[None], [k], self._pad(x)[None])
+                eps = self.stream.standard_normal(mu.shape)
+                z = nk.reparam_sample(mu, ls, eps)[0]
                 self._store(s, k, x, self.model.embed_lookup(k), z, res)
                 s = res.state
                 done = res.done
@@ -226,10 +226,10 @@ class Trainer:
         inside = (lat >= self.bounds.lower) & (lat <= self.bounds.upper)
         self.rsc_in_bounds += int(inside.all(axis=1).sum())
         self.rsc_total += lat.shape[0]
-        closs = critic_update(self.nets, acfg, rb, self.bounds, self.stream)
+        closs = critic_update(self.nets, rb, self.bounds, self.stream)
         self.acc.add("critic", closs)
         if self.nets.critic_updates % acfg.policy_delay == 0:
-            self.acc.add("actor", actor_update(self.nets, acfg, rb, self.bounds))
+            self.acc.add("actor", actor_update(self.nets, rb, self.bounds))
 
     def _run_eval(self) -> None:
         ev = make(self.cfg.env_id, self.cfg.env_n)
@@ -238,15 +238,11 @@ class Trainer:
             derive_seed(self.cfg.seed, 5, self.eval_index))
         self.eval_index += 1
         self.last_eval_step = self.env_step
-        ma_ret = (float(np.mean(self.ma_returns)) if self.ma_returns
-                  else float("nan"))
-        ma_suc = (float(np.mean(self.ma_success)) if self.ma_success
-                  else float("nan"))
+        ma = [float(np.mean(d)) if d else float("nan")
+              for d in (self.ma_returns, self.ma_success)]
         if self.metrics is not None:
-            self.metrics.row([self.env_step, self.episode, ma_ret, ma_suc,
-                              self.acc.mean("vae"), self.acc.mean("dyn"),
-                              self.acc.mean("critic"), self.acc.mean("actor"),
-                              self.acc.mean("cover")])
+            self.metrics.row([self.env_step, self.episode, *ma,
+                              *map(self.acc.mean, IntervalAccum.NAMES)])
         if self.evallog is not None:
             self.evallog.row([self.env_step, self.last_eval_return,
                               self.last_eval_success])
@@ -329,10 +325,8 @@ class Trainer:
 
         def load(d: dict) -> None:
             try:
-                self.bounds = b = LatentBounds(*(nk.entry(d, n, shape).copy()
-                                                 for n, shape in shapes.items()))
-                if not np.isfinite([b.lower, b.upper]).all():
-                    raise ValueError("non-finite latent bound")
+                self.bounds = LatentBounds(*(nk.finite_entry(d, n, shape).copy()
+                                             for n, shape in shapes.items()))
             except ValueError as exc:
                 raise nk.CheckpointError(f"bounds: {exc}") from exc
         return nk.Slot(save, load)

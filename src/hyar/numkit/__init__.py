@@ -18,8 +18,8 @@ from .optim import AdamState, adam_step, soft_update
 from .gaussian import LOG_STD_MIN, LOG_STD_MAX, reparam_sample, kl_std_normal
 from .fdcheck import finite_diff_check
 from .checkpoint import (MAGIC, CheckpointError, save_checkpoint,
-                         load_checkpoint, entry, restore, as_int, Slot, gather,
-                         fields_slot, git_blob_sha1)
+                         load_checkpoint, entry, finite_entry, restore, as_int,
+                         Slot, gather, fields_slot, git_blob_sha1)
 
 __all__ = [
     "NumericFault", "ShapeError", "TapeUsageError",
@@ -30,6 +30,6 @@ __all__ = [
     "LOG_STD_MIN", "LOG_STD_MAX", "reparam_sample", "kl_std_normal",
     "finite_diff_check",
     "MAGIC", "CheckpointError", "save_checkpoint", "load_checkpoint",
-    "entry", "restore", "as_int", "Slot", "gather", "fields_slot",
-    "git_blob_sha1",
+    "entry", "finite_entry", "restore", "as_int", "Slot", "gather",
+    "fields_slot", "git_blob_sha1",
 ]

@@ -14,9 +14,10 @@ parameters, Adam moments, buffer columns, bounds) as f4, everything else as
 f8, and each loads back in that dtype.  Integer and RNG state words are
 stored as float64 values by the caller.  Names are whitespace-free.  Other
 formats, HYAR-CKPT-1 included, are refused.  Loading a malformed file raises
-CheckpointError (an OSError, so it maps to the I/O exit code); so do entry(),
-restore() and as_int(), which restorers use to read a loaded dict, when an
-entry is missing, has the wrong shape or is not a count in range.
+CheckpointError (an OSError, so it maps to the I/O exit code); so do the
+readers restorers use on a loaded dict (entry, finite_entry, restore,
+as_int) when an entry is missing, has the wrong shape, is not finite where
+training keeps it finite, or is not a count in range.
 
 A Slot names one piece of run state once and carries both directions:
 save() gives its entries, load() restores them.  A list of slots is a
@@ -81,7 +82,7 @@ def save_checkpoint(path: str, entries: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for a in arrays:
-            fh.write(a.tobytes())
+            fh.write(a.data)  # the array's own buffer, no bytes copy
 
 
 def load_checkpoint(path: str) -> dict:
@@ -126,7 +127,7 @@ def load_checkpoint(path: str) -> dict:
     if len(parts) != 2 or parts[0] != "blob":
         raise CheckpointError(f"bad blob line {line!r}")
     total = _field(parts[1], "blob")
-    blob = raw[pos:pos + total]
+    blob = memoryview(raw)[pos:pos + total]  # no copy: entries copy out
     if len(blob) != total:
         raise CheckpointError(
             f"blob truncated: expected {total} bytes, got {len(blob)}")
@@ -156,9 +157,20 @@ def entry(entries: dict, name: str, shape: tuple | None = None) -> np.ndarray:
     return a
 
 
+def finite_entry(entries: dict, name: str,
+                 shape: tuple | None = None) -> np.ndarray:
+    """entry(), checked to hold no NaN or inf.  Training keeps parameters,
+    Adam moments, buffer columns and bounds finite (adam_step rejects any
+    non-finite gradient), so a checkpoint that does not is malformed."""
+    a = entry(entries, name, shape)
+    if not np.isfinite(a).all():
+        raise CheckpointError(f"{name}: non-finite value")
+    return a
+
+
 def restore(entries: dict, name: str, dst: np.ndarray) -> None:
-    """Copy entry `name` into dst in place; the shapes must match exactly."""
-    dst[...] = entry(entries, name, dst.shape)
+    """Copy finite entry `name` into dst in place; shapes must match exactly."""
+    dst[...] = finite_entry(entries, name, dst.shape)
 
 
 def as_int(value, name: str, lo: int = 0, hi: int | None = None) -> int:

@@ -86,9 +86,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._views
-
     def names(self) -> list[str]:
         return list(self._names)
 

@@ -57,8 +57,7 @@ class LatentBounds:
 
     def rescale(self, u: np.ndarray) -> np.ndarray:
         """Map raw actor output in [-1,1] onto [lower, upper] per dimension."""
-        half = (self.upper - self.lower) / 2.0
-        return self.lower + (u + 1.0) * half
+        return self.lower + (u + 1.0) * self.scale
 
     @property
     def scale(self) -> np.ndarray:
@@ -149,14 +148,11 @@ class ReprModel:
             raise IndexError(f"discrete action {k} out of range [0, {K})")
         return self.table[int(k)].copy()
 
-    # nn_decode/_batch compute in the dtype e and the table promote to:
-    # a caller that stores e checks it in the dtype it stores it in
-
-    def nn_decode(self, e: np.ndarray) -> int:
-        d = self.table - np.asarray(e)
-        return int(np.argmin(np.einsum("kd,kd->k", d, d)))
-
     def nn_decode_batch(self, e: np.ndarray) -> np.ndarray:
+        """Index of the nearest table row for each row of e (B, d1); ties go
+        to the smallest index.  Distances are computed in the dtype e and
+        the table promote to, so a caller that stores e checks it in the
+        dtype it stores it in."""
         d = self.table[None, :, :] - np.asarray(e)[:, None, :]
         return np.argmin(np.einsum("bkd,bkd->bk", d, d), axis=1)
 
@@ -205,50 +201,36 @@ class ReprModel:
     # ---- public inference ---------------------------------------------
 
     def encode(self, s: np.ndarray, k, x_pad: np.ndarray):
-        """(mu, log_std) for state s, discrete action k, padded parameters."""
-        s = np.asarray(s, dtype=self.dtype)
-        single = s.ndim == 1
-        sb = s[None, :] if single else s
-        kb = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        xb = np.asarray(x_pad, dtype=self.dtype)
-        xb = xb[None, :] if xb.ndim == 1 else xb
-        xb = xb * self.mask_table[kb]  # padded dims never reach the encoder
-        t = nk.Tape(record=False)
-        cond = np.concatenate([sb, self.table[kb]], axis=1)
-        mu, ls = self._encode_graph(t, self.params.frozen_vars(), nk.const(xb),
+        """(mu, log_std), each (B, d2), for states s (B, state_dim), discrete
+        actions k (B,) and padded parameters x_pad (B, max_param_dim)."""
+        kb = np.asarray(k, dtype=np.int64)
+        # padded dims never reach the encoder
+        xb = np.asarray(x_pad, dtype=self.dtype) * self.mask_table[kb]
+        cond = np.concatenate([s, self.table[kb]], axis=1).astype(self.dtype)
+        mu, ls = self._encode_graph(nk.Tape(record=False),
+                                    self.params.frozen_vars(), nk.const(xb),
                                     nk.const(cond))
-        if single:
-            return mu.data[0], ls.data[0]
         return mu.data, ls.data
 
     def _inference_trunk(self, z, s, e):
-        """(single, tape, params, trunk) of a no-record decoder pass."""
-        z = np.asarray(z, dtype=self.dtype)
-        single = z.ndim == 1
-        zb = z[None, :] if single else z
-        sb = np.asarray(s, dtype=self.dtype)
-        sb = sb[None, :] if sb.ndim == 1 else sb
-        eb = np.asarray(e, dtype=self.dtype)
-        eb = eb[None, :] if eb.ndim == 1 else eb
+        """(tape, params, trunk) of a no-record decoder pass over batches."""
         t = nk.Tape(record=False)
         pv = self.params.frozen_vars()
-        cond = nk.const(np.concatenate([sb, eb], axis=1))
-        return single, t, pv, self._decode_trunk(t, pv, nk.const(zb), cond)
+        cond = np.concatenate([s, e], axis=1).astype(self.dtype)
+        zb = np.asarray(z, dtype=self.dtype)
+        return t, pv, self._decode_trunk(t, pv, nk.const(zb), nk.const(cond))
 
     def decode(self, z: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """x_tilde from latent z conditioned on (s, e); no dynamics head."""
-        single, t, pv, trunk = self._inference_trunk(z, s, e)
-        x_rec = self._recon_head(t, pv, trunk).data
-        return x_rec[0] if single else x_rec
+        """x_tilde (B, max_param_dim) from latents z (B, d2) conditioned on
+        states s and table rows e; no dynamics head."""
+        t, pv, trunk = self._inference_trunk(z, s, e)
+        return self._recon_head(t, pv, trunk).data
 
     def decode_and_predict(self, z: np.ndarray, s: np.ndarray, e: np.ndarray):
-        """(x_tilde, delta_tilde) from latent z conditioned on (s, e)."""
-        single, t, pv, trunk = self._inference_trunk(z, s, e)
-        x_rec = self._recon_head(t, pv, trunk).data
-        delta = self._dyn_head(t, pv, trunk).data
-        if single:
-            return x_rec[0], delta[0]
-        return x_rec, delta
+        """(x_tilde, delta_tilde) from latents z conditioned on (s, e)."""
+        t, pv, trunk = self._inference_trunk(z, s, e)
+        return (self._recon_head(t, pv, trunk).data,
+                self._dyn_head(t, pv, trunk).data)
 
     # ---- losses and training ------------------------------------------
 
@@ -281,14 +263,9 @@ class ReprModel:
         return total, record
 
     def hyar_loss(self, s, k, x_pad, s_next, beta: float = 10.0,
-                  kl_weight: float = 0.5,
-                  noise: np.ndarray | None = None,
-                  rng: np.random.Generator | None = None) -> ReprLossRecord:
+                  kl_weight: float = 0.5, *,
+                  noise: np.ndarray) -> ReprLossRecord:
         """Loss components only: no update, and .grad is left untouched."""
-        if noise is None:
-            if rng is None:
-                raise ValueError("need noise or rng")
-            noise = rng.standard_normal(size=(np.shape(s)[0], self.d2))
         _total, record = self._loss_graph(
             nk.Tape(record=False), self.params.frozen_vars(), s, k, x_pad,
             s_next, beta, kl_weight, noise)

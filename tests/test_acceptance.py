@@ -100,12 +100,13 @@ def test_criterion_1_gradient_integrity() -> None:
 def test_criterion_2_oracle_equivalences() -> None:
     t0 = time.perf_counter()
 
-    # nn_decode vs exhaustive nearest-row scan, K = 16, 1000 random queries.
+    # nn_decode_batch vs exhaustive nearest-row scan, K = 16, 1000 random
+    # queries.
     spec = envs.EnvSpec(env_id="synthetic", state_dim=4, num_discrete=16,
                         param_dims=(2,) * 16, horizon=1)
     model = ReprModel(spec, rng=np.random.default_rng(7))
     qrng = np.random.default_rng(8)
-    nn_bad = 0
+    queries, oracle = [], []
     for _ in range(1000):
         e = qrng.uniform(-1.5, 1.5, size=model.d1)
         best_k, best_d = 0, float("inf")
@@ -113,7 +114,10 @@ def test_criterion_2_oracle_equivalences() -> None:
             d = float(np.sum((model.table[k] - e) ** 2))
             if d < best_d:
                 best_k, best_d = k, d
-        nn_bad += model.nn_decode(e) != best_k
+        queries.append(e)
+        oracle.append(best_k)
+    nn_bad = int(np.sum(model.nn_decode_batch(np.array(queries))
+                        != np.array(oracle)))
 
     # hard_move displacement vs a bit-iterating pure-Python oracle for every
     # mask at n = 1..8, plus the env's own step from the origin on a sample.
@@ -158,7 +162,7 @@ def test_criterion_2_oracle_equivalences() -> None:
     dt = time.perf_counter() - t0
     _report(2, nn_bad == 0 and disp_bad == 0 and step_bad == 0
             and kl_err < 1e-2 and dt < 120.0,
-            f"nn_decode mismatches {nn_bad}/1000, displacement mismatches "
+            f"nn_decode_batch mismatches {nn_bad}/1000, displacement mismatches "
             f"{disp_bad} over all masks n<=8, env-step mismatches {step_bad}/50, "
             f"KL closed-vs-MC err {kl_err:.2e} (budget 1e-2), {dt:.1f}s (< 120s)")
 
@@ -169,8 +173,8 @@ def test_criterion_3_invariant_suite() -> None:
     model = ReprModel(spec, rng=np.random.default_rng(21))
 
     # Embedding roundtrip is exact for every k.
-    round_bad = sum(model.nn_decode(model.embed_lookup(k)) != k
-                    for k in range(12))
+    round_bad = int(np.sum(model.nn_decode_batch(
+        np.array([model.embed_lookup(k) for k in range(12)])) != np.arange(12)))
 
     # LSC nesting on 50 random datasets and the c = 100 min/max identity.
     nest_bad = minmax_bad = 0

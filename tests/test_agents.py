@@ -214,10 +214,10 @@ def test_decode_action_matches_decode_and_predict_bits() -> None:
         z = rng.normal(size=D2)
         act = decode_action(model, s, e, z)
         row = model.table[act.k]
-        x_rec, _delta = model.decode_and_predict(z, s, row)
+        x_rec, _delta = model.decode_and_predict(z[None], s[None], row[None])
         pd = spec.param_dims[act.k]
-        assert np.array_equal(act.x, np.clip(x_rec[:pd], -1.0, 1.0))
-        assert np.array_equal(model.decode(z, s, row), x_rec)
+        assert np.array_equal(act.x, np.clip(x_rec[0, :pd], -1.0, 1.0))
+        assert np.array_equal(model.decode(z[None], s[None], row[None]), x_rec)
 
 
 # ---- representation shift correction -----------------------------------
@@ -284,7 +284,7 @@ def test_td_targets_gamma_zero_is_reward() -> None:
     spec, cfg, model, nets = small_setup(algo="td3", gamma=0.0)
     rng = np.random.default_rng(21)
     batch = consistent_batch(spec, model, 16, rng)
-    y = td_targets(nets, cfg, batch, identity_bounds())
+    y = td_targets(nets, batch, identity_bounds())
     assert np.array_equal(y, batch.r)
 
 
@@ -298,7 +298,7 @@ def test_td_targets_clip_min_and_done_mask() -> None:
     # lift target critic 1 by a constant: the min must keep following critic 0
     nets.target_critics[1] = nets.target_critics[0].copy()
     nets.target_critics[1]["b2"][...] += 1.0
-    y = td_targets(nets, cfg, batch, b)
+    y = td_targets(nets, batch, b)
     raw = nets.actor_raw(batch.s_next, target=True)
     lat = b.rescale(raw)
     q0 = nets.critic_value(0, batch.s_next, lat, target=True)
@@ -317,7 +317,7 @@ def test_critic_update_reports_premove_loss() -> None:
     lat = np.concatenate([batch.e, batch.z], axis=1)
     expected = np.mean([np.mean((batch.r - nets.critic_value(i, batch.s, lat)) ** 2)
                         for i in range(2)])
-    loss = critic_update(nets, cfg, batch, identity_bounds())
+    loss = critic_update(nets, batch, identity_bounds())
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -326,9 +326,9 @@ def test_critic_update_losses_shrink() -> None:
     rng = np.random.default_rng(24)
     batch = consistent_batch(spec, model, 32, rng)
     b = identity_bounds()
-    first = critic_update(nets, cfg, batch, b)
+    first = critic_update(nets, batch, b)
     for _ in range(60):
-        last = critic_update(nets, cfg, batch, b)
+        last = critic_update(nets, batch, b)
     assert last < first
 
 
@@ -338,7 +338,7 @@ def test_critic_update_numeric_fault_skips() -> None:
     batch = consistent_batch(spec, model, 8, rng)
     batch.r[0] = np.nan
     before = [c.flat.copy() for c in nets.critics]
-    critic_update(nets, cfg, batch, identity_bounds())
+    critic_update(nets, batch, identity_bounds())
     assert nets.fault_count == 2
     for prev, c in zip(before, nets.critics):
         assert np.array_equal(prev, c.flat)
@@ -349,7 +349,7 @@ def test_critic_gradients_match_finite_differences() -> None:
     spec, cfg, model, nets = small_setup()
     rng = np.random.default_rng(26)
     batch = consistent_batch(spec, model, 8, rng)
-    y = td_targets(nets, cfg, batch, identity_bounds())
+    y = td_targets(nets, batch, identity_bounds())
     lat = np.concatenate([batch.e, batch.z], axis=1)
     _loss, grads = critic_loss_grads(nets, 0, batch.s, lat, y)
 
@@ -392,7 +392,7 @@ def test_actor_update_zero_gradient_when_critic_ignores_action() -> None:
     batch = consistent_batch(spec, model, 8, rng)
     nets.critics[0]["W0"][:, spec.state_dim:] = 0.0  # Q blind to the action
     before = nets.actor.flat.copy()
-    actor_update(nets, cfg, batch, identity_bounds())
+    actor_update(nets, batch, identity_bounds())
     assert np.array_equal(before, nets.actor.flat)
 
 
@@ -408,7 +408,7 @@ def test_actor_update_raises_q() -> None:
         return float(np.mean(nets.critic_value(0, batch.s, lat)))
 
     before = mean_q()
-    actor_update(nets, cfg, batch, b)
+    actor_update(nets, batch, b)
     assert mean_q() > before
 
 
@@ -416,8 +416,8 @@ def test_actor_update_tau_one_copies_targets() -> None:
     spec, cfg, model, nets = small_setup(tau_actor=1.0, tau_critic=1.0)
     rng = np.random.default_rng(34)
     batch = consistent_batch(spec, model, 8, rng)
-    critic_update(nets, cfg, batch, identity_bounds())
-    actor_update(nets, cfg, batch, identity_bounds())
+    critic_update(nets, batch, identity_bounds())
+    actor_update(nets, batch, identity_bounds())
     assert np.allclose(nets.target_actor.flat, nets.actor.flat)
     for tc, c in zip(nets.target_critics, nets.critics):
         assert np.allclose(tc.flat, c.flat)
@@ -447,9 +447,9 @@ def test_update_sequence_deterministic() -> None:
         for step in range(12):
             batch = consistent_batch(spec, model, 16, rng)
             batch2, _ = relabel_batch(model, batch, 1.0, rng)
-            critic_update(nets, cfg, batch2, b)
+            critic_update(nets, batch2, b)
             if step % cfg.policy_delay == 0:
-                actor_update(nets, cfg, batch2, b)
+                actor_update(nets, batch2, b)
         flats.append((nets.actor.flat.copy(), nets.critics[0].flat.copy()))
     assert np.array_equal(flats[0][0], flats[1][0])
     assert np.array_equal(flats[0][1], flats[1][1])
@@ -461,8 +461,8 @@ def test_nets_checkpoint_roundtrip() -> None:
     batch = consistent_batch(spec, model, 16, rng)
     b = identity_bounds()
     for _ in range(3):
-        critic_update(nets, cfg, batch, b)
-    actor_update(nets, cfg, batch, b)
+        critic_update(nets, batch, b)
+    actor_update(nets, batch, b)
     entries = nk.gather(nets.slots())
     other = AgentNets(spec.state_dim, D1, D2, cfg, np.random.default_rng(999))
     for slot in other.slots():
@@ -485,8 +485,8 @@ def test_cached_frozen_vars_never_gain_a_grad() -> None:
             *nets.target_critics, model.params]
     cached = [p.frozen_vars() for p in sets]
     for _ in range(2):
-        critic_update(nets, cfg, batch, b)
-        actor_update(nets, cfg, batch, b)
+        critic_update(nets, batch, b)
+        actor_update(nets, batch, b)
         model.repr_train_batch(batch.s, batch.k, batch.x, batch.s_next, rng)
         e, z = select_latent_action(nets, b, batch.s[0])
         decode_action(model, batch.s[0], e, z)
@@ -529,7 +529,7 @@ def test_float32_gradients_track_float64() -> None:
 
     def grads(model, nets, bt, bounds):
         lat = np.concatenate([bt.e, bt.z], axis=1)
-        y = td_targets(nets, cfg, bt, bounds)
+        y = td_targets(nets, bt, bounds)
         out = {f"critic{i}": critic_loss_grads(nets, i, bt.s, lat, y)[1]
                for i in range(2)}
         out["actor"] = actor_loss_grads(nets, bt.s, bounds)[1]

@@ -89,6 +89,21 @@ def test_config_validation_errors() -> None:
         build_config(overrides={"run.algo": "td3"}).validate()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("agent.actor_lr", "nan"), ("agent.critic_lr", "inf"),
+    ("agent.expl_sigma", "inf"), ("agent.rsc_noise", "nan"),
+    ("agent.target_noise", "nan"), ("agent.rsc_threshold_mult", "inf"),
+    ("repr.lr", "nan"), ("repr.beta", "nan"), ("repr.kl_weight", "inf")])
+def test_nonfinite_config_float_exits_2(tmp_path, key, value) -> None:
+    with pytest.raises(ConfigError):
+        build_config(overrides={key: value}).validate()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "never"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not os.path.exists(out)
+
+
 def test_algo_picks_agent_preset() -> None:
     td3 = build_config(overrides={"run.algo": "hyar-td3"}).agent_config()
     assert td3.num_critics == 2 and td3.actor_lr == 3e-4
@@ -447,6 +462,14 @@ def _as_ckpt1(src: str, dst: str) -> None:
         fh.write(("\n".join(lines) + "\n").encode("utf-8") + blob)
 
 
+def _poke(name: str, value: float):
+    """Set the first value of entry `name` to value."""
+    def edit(d: dict) -> None:
+        d[name] = d[name].copy()
+        d[name].flat[0] = value
+    return _entries_edit(edit)
+
+
 def _set(name: str, value):
     """Replace entry `name` by value, or by value(entries) if callable."""
     return _entries_edit(lambda d: d.__setitem__(
@@ -491,6 +514,9 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
                  id="k-negative"),
     pytest.param(_set("buffer.k", lambda d: np.r_[999.0, d["buffer.k"][1:]]),
                  id="k-past-num-discrete"),
+    pytest.param(_poke("actor.W0", np.nan), id="actor-weight-nan"),
+    pytest.param(_poke("opt_actor.m", np.inf), id="opt-moment-inf"),
+    pytest.param(_poke("buffer.s", np.nan), id="buffer-s-nan"),
 ])
 def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
     """Every malformed checkpoint is an I/O error (exit 4), never a traceback
@@ -547,6 +573,37 @@ def test_edited_manifest_field_loads_or_raises_checkpoint_error(data) -> None:
     lines[i] = " ".join(parts)
     _loads_or_raises_checkpoint_error(
         ("\n".join(lines) + "\n").encode("utf-8") + raw[head:])
+
+
+# Training keeps these finite; only state.* (moving_dyn and last_eval_* start
+# as NaN) and the generator's text may hold a non-finite value and load.
+MAY_HOLD_NONFINITE = ("state.", "rng.")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_edited_entry_value_loads_or_raises_checkpoint_error(data) -> None:
+    """One value of any entry but config set to any float: from_checkpoint
+    gives a Trainer or raises CheckpointError, and must raise when the value
+    is non-finite in a parameter, moment, buffer or bounds entry."""
+    _tr, out, _summary = tiny_run()
+    entries = nk.load_checkpoint(os.path.join(out, "final.ckpt"))
+    name = data.draw(st.sampled_from(sorted(
+        n for n, a in entries.items() if n != "config" and a.size)))
+    i = data.draw(st.integers(0, entries[name].size - 1))
+    value = data.draw(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                st.floats()))
+    arr = entries[name] = entries[name].copy()
+    with np.errstate(over="ignore"):
+        arr.flat[i] = value
+    path = os.path.join(out, "edited.ckpt")
+    nk.save_checkpoint(path, entries)
+    try:
+        Trainer.from_checkpoint(path)
+    except nk.CheckpointError:
+        return
+    assert (np.isfinite(arr.flat[i])
+            or name.startswith(MAY_HOLD_NONFINITE)), name
 
 
 def test_cli_train_uses_config_file(tmp_path) -> None:
