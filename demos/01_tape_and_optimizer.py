@@ -8,42 +8,43 @@ import numpy as np
 
 from hyar import numkit as nk
 
+DIMS = [1, 32, 32, 1]
+
 
 def fit_sine():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1.0, 1.0, size=(256, 1))
     ys = np.sin(3.0 * xs)
 
-    spec = nk.LayerSpec.mlp([1, 32, 32, 1])
-    params = nk.init_params(spec, rng)
+    params = nk.init_params(DIMS, rng)
     opt = nk.AdamState(params, lr=1e-3)
 
-    print("fitting y = sin(3x) with a [1, 32, 32, 1] MLP")
+    print(f"fitting y = sin(3x) with a {DIMS} MLP")
     for step in range(2001):
         tape = nk.Tape()
-        out = nk.mlp_apply(tape, spec, params.grad_vars(), nk.const(xs))
+        out = nk.mlp_apply(tape, params.grad_vars(), nk.const(xs))
         loss = tape.msq_to(out, ys)
         tape.backward(loss)  # fills params.grad
         nk.adam_step(params, params.grad, opt)
         if step % 400 == 0:
             print(f"  step {step:4d}  mse {float(loss.data):.5f}")
-    return spec, params
+    return params
 
 
-def gradient_check(spec, params):
+def gradient_check(params):
     rng = np.random.default_rng(1)
     xs = rng.uniform(-1.0, 1.0, size=(8, 1))
     ys = np.sin(3.0 * xs)
 
     tape = nk.Tape()
     loss = tape.msq_to(
-        nk.mlp_apply(tape, spec, params.grad_vars(), nk.const(xs)), ys)
+        nk.mlp_apply(tape, params.grad_vars(), nk.const(xs)), ys)
     tape.backward(loss)
 
     def loss_fn():
         t = nk.Tape(record=False)
         return float(t.msq_to(
-            nk.mlp_apply(t, spec, params.frozen_vars(), nk.const(xs)),
+            nk.mlp_apply(t, params.frozen_vars(), nk.const(xs)),
             ys).data)
 
     report = nk.finite_diff_check(loss_fn, params, params.grad,
@@ -54,9 +55,9 @@ def gradient_check(spec, params):
     print(f"  worst {report['max']:.2e}  (gradcheck budget is 1e-4)")
 
 
-def soft_update_demo(spec, params):
+def soft_update_demo(params):
     rng = np.random.default_rng(2)
-    target = nk.init_params(spec, rng)
+    target = nk.init_params(DIMS, rng)
     print("\nPolyak averaging, tau = 0.2: target trails the online net")
     for i in range(6):
         gap = float(np.max(np.abs(target.flat - params.flat)))
@@ -65,9 +66,9 @@ def soft_update_demo(spec, params):
 
 
 def main():
-    spec, params = fit_sine()
-    gradient_check(spec, params)
-    soft_update_demo(spec, params)
+    params = fit_sine()
+    gradient_check(params)
+    soft_update_demo(params)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ directory, then trains five tiny configurations once with each side's src/
 on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
 written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
-byte and prints one line.  Exit status 0 means every file of every
-configuration is identical; 1 means something differs or a run failed.
-Each run takes a few seconds on one core.
+byte and prints one line.  Last it prints the src/ line count of REV and
+of the working tree, counted as `find src -name '*.py' | xargs cat | wc -l`
+counts them.  Exit status 0 means every file of every configuration is
+identical; 1 means something differs or a run failed.  Each run takes a few
+seconds on one core.
 """
 from __future__ import annotations
 
@@ -46,6 +48,11 @@ def extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
+def src_lines(src: str) -> int:
+    """Newlines in every .py file under src, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(src).rglob("*.py"))
+
+
 def train(src: str, keys: dict, out: str, cfg_path: str) -> dict:
     """Train one run into out; return {file name: bytes} (None if missing)."""
     shutil.rmtree(out, ignore_errors=True)
@@ -78,8 +85,10 @@ def main(argv: list[str]) -> int:
             ok = ok and not bad
             print(f"{name}: " + ("identical" if not bad else
                                  "DIFFERS in " + ", ".join(bad)), flush=True)
-    print(f"{rev} vs working tree: "
-          + ("all identical" if ok else "NOT identical"))
+        print(f"{rev} vs working tree: "
+              + ("all identical" if ok else "NOT identical"))
+        print(f"src/ lines: {rev} {src_lines(old_src)}, "
+              f"working tree {src_lines(new_src)}")
     return 0 if ok else 1
 
 

@@ -189,17 +189,15 @@ class AgentNets:
 
     def __init__(self, state_dim: int, d1: int, d2: int, config: AgentConfig,
                  rng: np.random.Generator):
-        self.state_dim = state_dim
         self.d1 = d1
         self.d2 = d2
         self.config = config
         self.dtype = nk.model_dtype()
         lat = d1 + d2
-        self.actor_spec = nk.LayerSpec.mlp([state_dim, HIDDEN, HIDDEN, lat],
-                                           out_act="tanh")
-        self.critic_spec = nk.LayerSpec.mlp([state_dim + lat, HIDDEN, HIDDEN, 1])
-        self.actor = nk.init_params(self.actor_spec, rng, dtype=self.dtype)
-        self.critics = [nk.init_params(self.critic_spec, rng, dtype=self.dtype)
+        self.actor = nk.init_params([state_dim, HIDDEN, HIDDEN, lat], rng,
+                                    self.dtype)
+        self.critics = [nk.init_params([state_dim + lat, HIDDEN, HIDDEN, 1],
+                                       rng, self.dtype)
                         for _ in range(config.num_critics)]
         self.target_actor = self.actor.copy()
         self.target_critics = [c.copy() for c in self.critics]
@@ -212,24 +210,20 @@ class AgentNets:
 
     # ---- inference -----------------------------------------------------
 
-    def _eval(self, spec: nk.LayerSpec, params: nk.ParameterSet,
-              x: np.ndarray) -> np.ndarray:
-        t = nk.Tape(record=False)
-        out = nk.mlp_apply(t, spec, params.frozen_vars(), nk.const(x))
-        return out.data
-
     def actor_raw(self, s: np.ndarray, target: bool = False) -> np.ndarray:
         """Pre-rescale policy output in [-1,1]^(d1+d2) for states s (B, .)."""
         params = self.target_actor if target else self.actor
-        return self._eval(self.actor_spec, params,
-                          np.asarray(s, dtype=self.dtype))
+        t = nk.Tape(record=False)
+        x = nk.const(np.asarray(s, dtype=self.dtype))
+        return t.tanh(nk.mlp_apply(t, params.frozen_vars(), x)).data
 
     def critic_value(self, i: int, s: np.ndarray, lat: np.ndarray,
                      target: bool = False) -> np.ndarray:
         """Q_i(s, latent action) -> (B,)."""
         params = self.target_critics[i] if target else self.critics[i]
-        sa = np.concatenate([s, lat], axis=1)
-        return self._eval(self.critic_spec, params, sa)[:, 0]
+        sa = nk.const(np.concatenate([s, lat], axis=1))
+        return nk.mlp_apply(nk.Tape(record=False), params.frozen_vars(),
+                            sa).data[:, 0]
 
     def sync_targets(self, tau_actor: float, tau_critic: float) -> None:
         nk.soft_update(self.target_actor, self.actor, tau_actor)
@@ -342,7 +336,7 @@ def critic_loss_grads(nets: AgentNets, i: int, s: np.ndarray, lat: np.ndarray,
     """(loss, critic i's .grad) of the mean squared TD error against y."""
     t = nk.Tape()
     sa = nk.const(np.concatenate([s, lat], axis=1))
-    q = nk.mlp_apply(t, nets.critic_spec, nets.critics[i].grad_vars(), sa)
+    q = nk.mlp_apply(t, nets.critics[i].grad_vars(), sa)
     loss = t.msq_to(q, y[:, None])
     t.backward(loss)
     return float(loss.data), nets.critics[i].grad
@@ -352,10 +346,10 @@ def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
     """(loss, actor .grad) of -mean Q_1(s, rescale(actor(s))); the gradient
     flows through the rescale."""
     t = nk.Tape()
-    raw = nk.mlp_apply(t, nets.actor_spec, nets.actor.grad_vars(), nk.const(s))
+    raw = t.tanh(nk.mlp_apply(t, nets.actor.grad_vars(), nk.const(s)))
     lat = t.rescale(raw, bounds.scale, bounds.shift)
     sa = t.concat([nk.const(s), lat])
-    q = nk.mlp_apply(t, nets.critic_spec, nets.critics[0].frozen_vars(), sa)
+    q = nk.mlp_apply(t, nets.critics[0].frozen_vars(), sa)
     loss = t.neg_mean(q)
     t.backward(loss)
     return float(loss.data), nets.actor.grad

@@ -1,7 +1,7 @@
 """Hybrid-action environment interface.
 
-An action is a discrete choice k plus a continuous parameter vector whose
-width depends on k.  All continuous parameters live in [-1, 1]; out-of-range
+An action is a discrete choice k plus a continuous parameter vector of the
+width k fixes (others are rejected).  Parameters live in [-1, 1]; out-of-range
 components are clamped (and counted on env.clamp_count), never rejected.
 Episodes are deterministic functions of the reset seed.
 """
@@ -80,7 +80,7 @@ class HybridEnv:
             raise EnvUsageError(
                 f"discrete action {k} out of range [0, {self._spec.num_discrete})")
         want = self._spec.param_dims[k]
-        x = np.asarray(action.x, dtype=np.float64).reshape(-1)[:want]
+        x = np.asarray(action.x, dtype=np.float64).reshape(-1)
         if x.size != want:
             raise EnvUsageError(
                 f"action {k} needs {want} parameters, got {x.size}")

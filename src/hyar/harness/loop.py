@@ -46,8 +46,10 @@ def _utf8_array(text: str) -> np.ndarray:
 
 def _utf8_str(entries: dict, name: str) -> str:
     arr = nk.entry(entries, name, (None,))
+    if not np.all((arr == np.rint(arr)) & (arr >= 0) & (arr < 256)):
+        raise nk.CheckpointError(f"{name}: not all byte values in [0, 256)")
     try:
-        return bytes(np.rint(arr).astype(np.uint8)).decode("utf-8")
+        return bytes(arr.astype(np.uint8)).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise nk.CheckpointError(f"{name}: not UTF-8 text") from exc
 

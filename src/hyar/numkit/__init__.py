@@ -4,16 +4,16 @@ Plain numpy.  The numeric policy (policy.py) declares the one dtype models
 build their state in: float32 for training, float64 only inside
 float64_models() (finite-difference checks).  Ops, Adam and Polyak compute
 in the dtype of the arrays they are given and never cast.  The tape is the
-only autodiff mechanism in the package; networks are built from LayerSpec +
-ParameterSet and trained with adam_step / soft_update.  There is one
-gradient path: a training tape built over ParameterSet.grad_vars() (which
-zeroes the set's flat .grad) writes its backward() into .grad, and adam_step
-reads that flat vector.
+only autodiff mechanism in the package; an MLP is its list of widths,
+built by init_params into a ParameterSet, run by mlp_apply and trained with
+adam_step / soft_update.  There is one gradient path: a training tape built
+over ParameterSet.grad_vars() (which zeroes the set's flat .grad) writes its
+backward() into .grad, and adam_step reads that flat vector.
 """
 from .errors import NumericFault, ShapeError, TapeUsageError
 from .policy import TRAIN_DTYPE, model_dtype, float64_models
 from .tape import Tape, Var, leaf, const
-from .nets import LayerSpec, ParameterSet, init_params, mlp_apply
+from .nets import ParameterSet, init_params, mlp_apply
 from .optim import AdamState, adam_step, soft_update
 from .gaussian import LOG_STD_MIN, LOG_STD_MAX, reparam_sample, kl_std_normal
 from .fdcheck import finite_diff_check
@@ -25,7 +25,7 @@ __all__ = [
     "NumericFault", "ShapeError", "TapeUsageError",
     "TRAIN_DTYPE", "model_dtype", "float64_models",
     "Tape", "Var", "leaf", "const",
-    "LayerSpec", "ParameterSet", "init_params", "mlp_apply",
+    "ParameterSet", "init_params", "mlp_apply",
     "AdamState", "adam_step", "soft_update",
     "LOG_STD_MIN", "LOG_STD_MAX", "reparam_sample", "kl_std_normal",
     "finite_diff_check",

@@ -143,22 +143,20 @@ def load_checkpoint(path: str) -> dict:
     return out
 
 
-def entry(entries: dict, name: str, shape: tuple | None = None) -> np.ndarray:
-    """entries[name], checked against shape when given (a None dim matches
-    any length)."""
+def entry(entries: dict, name: str, shape: tuple) -> np.ndarray:
+    """entries[name], checked against shape (a None dim matches any
+    length)."""
     try:
         a = np.asarray(entries[name])
     except KeyError:
         raise CheckpointError(f"checkpoint lacks entry {name!r}") from None
-    if shape is not None and (
-            a.ndim != len(shape)
-            or any(w is not None and g != w for g, w in zip(a.shape, shape))):
+    if a.ndim != len(shape) or any(w is not None and g != w
+                                   for g, w in zip(a.shape, shape)):
         raise CheckpointError(f"{name}: shape {a.shape}, expected {shape}")
     return a
 
 
-def finite_entry(entries: dict, name: str,
-                 shape: tuple | None = None) -> np.ndarray:
+def finite_entry(entries: dict, name: str, shape: tuple) -> np.ndarray:
     """entry(), checked to hold no NaN or inf.  Training keeps parameters,
     Adam moments, buffer columns and bounds finite (adam_step rejects any
     non-finite gradient), so a checkpoint that does not is malformed."""

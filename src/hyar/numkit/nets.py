@@ -1,54 +1,10 @@
-"""MLP building blocks: layer specs, flat-backed parameter sets, forward pass."""
+"""MLPs as lists of widths: flat-backed parameter sets, init, forward pass."""
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import Slot, array_slot
-from .errors import ShapeError
 from .tape import Tape, Var
-
-_ACTIVATIONS = ("relu", "tanh", "none")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Fully-connected stack: each layer is (in_dim, out_dim, activation)."""
-
-    layers: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        layers = tuple(tuple(l) for l in self.layers)
-        object.__setattr__(self, "layers", layers)
-        if not layers:
-            raise ShapeError("LayerSpec needs at least one layer")
-        for i, (din, dout, act) in enumerate(layers):
-            if din < 1 or dout < 1:
-                raise ShapeError(f"layer {i}: non-positive dims ({din}, {dout})")
-            if act not in _ACTIVATIONS:
-                raise ShapeError(f"layer {i}: unknown activation {act!r}")
-            if i > 0 and layers[i - 1][1] != din:
-                raise ShapeError(
-                    f"layer {i}: in_dim {din} does not chain from previous out_dim "
-                    f"{layers[i - 1][1]}")
-
-    @classmethod
-    def mlp(cls, dims: list[int], hidden_act: str = "relu",
-            out_act: str = "none") -> "LayerSpec":
-        """Chain dims [d0, d1, ..., dn] with hidden_act inside and out_act last."""
-        if len(dims) < 2:
-            raise ShapeError("need at least input and output dims")
-        acts = [hidden_act] * (len(dims) - 2) + [out_act]
-        return cls(tuple((dims[i], dims[i + 1], acts[i]) for i in range(len(dims) - 1)))
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0][0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][1]
 
 
 class ParameterSet:
@@ -122,29 +78,25 @@ class ParameterSet:
                             self.flat.dtype)
 
 
-def init_params(spec: LayerSpec, rng: np.random.Generator,
-                prefix: str = "", dtype=np.float64) -> ParameterSet:
-    """U(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for weights and biases,
-    drawn in float64 and stored in dtype."""
+def init_params(dims: list[int], rng: np.random.Generator,
+                dtype=np.float64) -> ParameterSet:
+    """The MLP with widths dims [d0, ..., dn]: W{i} (d{i+1}, d{i}) then b{i},
+    drawn U(+-1/sqrt(d{i})) in float64 and stored in dtype."""
     entries = {}
-    for i, (din, dout, _act) in enumerate(spec.layers):
+    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         bound = 1.0 / np.sqrt(din)
-        entries[f"{prefix}W{i}"] = rng.uniform(-bound, bound, size=(dout, din))
-        entries[f"{prefix}b{i}"] = rng.uniform(-bound, bound, size=dout)
+        entries[f"W{i}"] = rng.uniform(-bound, bound, size=(dout, din))
+        entries[f"b{i}"] = rng.uniform(-bound, bound, size=dout)
     return ParameterSet(entries, dtype)
 
 
-def mlp_apply(tape: Tape, spec: LayerSpec, pvars: dict[str, Var], x: Var,
-              prefix: str = "") -> Var:
-    """Composable forward pass; use inside larger graphs."""
+def mlp_apply(tape: Tape, pvars: dict[str, Var], x: Var) -> Var:
+    """Forward pass of the MLP whose W{i}/b{i} are in pvars: ReLU between
+    layers, linear output.  Composable inside larger graphs."""
+    n = len(pvars) // 2
     h = x
-    for i, (din, _dout, act) in enumerate(spec.layers):
-        if np.shape(h.data)[-1] != din:
-            raise ShapeError(
-                f"layer {i}: got input width {np.shape(h.data)[-1]}, expected {din}")
-        h = tape.affine(h, pvars[f"{prefix}W{i}"], pvars[f"{prefix}b{i}"])
-        if act == "relu":
+    for i in range(n):
+        h = tape.affine(h, pvars[f"W{i}"], pvars[f"b{i}"])
+        if i < n - 1:
             h = tape.relu(h)
-        elif act == "tanh":
-            h = tape.tanh(h)
     return h

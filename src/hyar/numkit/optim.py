@@ -9,17 +9,16 @@ from .checkpoint import Slot, array_slot, count_slot
 from .errors import NumericFault, ShapeError
 from .nets import ParameterSet
 
+# Adam's moment decays and denominator offset (Kingma & Ba defaults)
+B1, B2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """Adam moments for one ParameterSet.  m/v mirror the flat layout and
     dtype."""
 
-    def __init__(self, params: ParameterSet, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParameterSet, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -47,20 +46,19 @@ def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
     if not math.isfinite(sq_norm):
         raise NumericFault("non-finite gradient; update rejected")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     m, v, tmp = state.m, state.v, state._tmp
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= B1
+    np.multiply(g, 1.0 - B1, out=tmp)
     m += tmp
-    v *= b2
+    v *= B2
     np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - b2
+    tmp *= 1.0 - B2
     v += tmp
     # algebraically identical to lr * m_hat / (sqrt(v_hat) + eps)
-    c2 = math.sqrt(1.0 - b2 ** state.t)
-    step = state.lr * c2 / (1.0 - b1 ** state.t)
+    c2 = math.sqrt(1.0 - B2 ** state.t)
+    step = state.lr * c2 / (1.0 - B1 ** state.t)
     np.sqrt(v, out=tmp)
-    tmp += state.eps * c2
+    tmp += EPS * c2
     np.divide(m, tmp, out=tmp)
     tmp *= step
     params.flat -= tmp

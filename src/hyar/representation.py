@@ -81,9 +81,7 @@ class ReprModel:
     """Embedding table, encoder q_phi, decoder/prediction p_psi and the losses."""
 
     def __init__(self, env_spec: EnvSpec, d1: int = 6, d2: int = 6,
-                 lr: float = 1e-4, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 lr: float = 1e-4, *, rng: np.random.Generator):
         self.env_spec = env_spec
         self.dtype = nk.model_dtype()
         self.d1 = d1

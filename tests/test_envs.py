@@ -138,6 +138,13 @@ def test_usage_errors_and_clamping() -> None:
     assert env.clamp_count == 0
     env.step(HybridAction(0, np.array([1.7])))
     assert env.clamp_count == 1
+    # a parameter vector of the wrong width is rejected, longer ones too
+    penv = envs.make("platform")
+    penv.reset(0)
+    for x in ([], [0.5, 9.0]):
+        with pytest.raises(envs.EnvUsageError, match="needs 1 parameters"):
+            penv.step(HybridAction(0, np.array(x)))
+    assert penv.clamp_count == 0
     # clamped x=1.7 behaves exactly like x=1.0
     env2 = envs.make("catch_point")
     env2.reset(0)

@@ -517,6 +517,9 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_poke("actor.W0", np.nan), id="actor-weight-nan"),
     pytest.param(_poke("opt_actor.m", np.inf), id="opt-moment-inf"),
     pytest.param(_poke("buffer.s", np.nan), id="buffer-s-nan"),
+    # a valid byte plus 256: wrapping it would read back the same text
+    pytest.param(_poke("config", 357.0), id="config-byte-past-255"),
+    pytest.param(_poke("rng.stream", 379.0), id="rng-byte-past-255"),
 ])
 def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
     """Every malformed checkpoint is an I/O error (exit 4), never a traceback

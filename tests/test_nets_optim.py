@@ -1,4 +1,5 @@
-"""LayerSpec/ParameterSet contracts, mlp_apply, Adam, soft_update."""
+"""ParameterSet contracts, init_params and mlp_apply over a list of widths,
+Adam, soft_update."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,22 +8,10 @@ import pytest
 from hyar import numkit as nk
 
 
-def test_layerspec_validation() -> None:
-    with pytest.raises(nk.ShapeError):
-        nk.LayerSpec(())
-    with pytest.raises(nk.ShapeError):
-        nk.LayerSpec(((4, 8, "relu"), (9, 2, "none")))  # broken chain
-    with pytest.raises(nk.ShapeError):
-        nk.LayerSpec(((4, 8, "swish"),))
-    spec = nk.LayerSpec.mlp([4, 16, 3], out_act="tanh")
-    assert spec.in_dim == 4 and spec.out_dim == 3
-    assert spec.layers[-1][2] == "tanh"
-
-
 def test_init_params_bounds_and_layout() -> None:
-    spec = nk.LayerSpec.mlp([9, 256, 256, 12], out_act="tanh")
-    ps = nk.init_params(spec, np.random.default_rng(0))
-    for i, (din, dout, _a) in enumerate(spec.layers):
+    dims = [9, 256, 256, 12]
+    ps = nk.init_params(dims, np.random.default_rng(0))
+    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         bound = 1.0 / np.sqrt(din)
         w, b = ps[f"W{i}"], ps[f"b{i}"]
         assert w.shape == (dout, din) and b.shape == (dout,)
@@ -32,21 +21,33 @@ def test_init_params_bounds_and_layout() -> None:
     assert np.all(ps["W1"] == 0.0)
 
 
+def test_init_params_draw_order_is_pinned() -> None:
+    # checkpoint bytes depend on this order: W0, b0, W1, b1, each drawn in
+    # float64 as U(+-1/sqrt(fan_in)) and then cast
+    ps = nk.init_params([3, 5, 2], np.random.default_rng(5), np.float32)
+    rng = np.random.default_rng(5)
+    want = {}
+    for i, (din, dout) in enumerate(((3, 5), (5, 2))):
+        bound = 1.0 / np.sqrt(din)
+        want[f"W{i}"] = rng.uniform(-bound, bound, size=(dout, din))
+        want[f"b{i}"] = rng.uniform(-bound, bound, size=dout)
+    assert ps.names() == list(want) and ps.flat.dtype == np.float32
+    for name, arr in want.items():
+        assert np.array_equal(ps[name], arr.astype(np.float32))
+
+
 def test_mlp_forward_zero_params_zero_output() -> None:
-    spec = nk.LayerSpec.mlp([5, 32, 2], out_act="tanh")
-    ps = nk.init_params(spec, np.random.default_rng(1))
+    ps = nk.init_params([5, 32, 2], np.random.default_rng(1))
     ps.flat[:] = 0.0
     x = nk.const(np.random.default_rng(2).normal(size=(7, 5)))
-    y = nk.mlp_apply(nk.Tape(), spec, ps.grad_vars(), x)
+    y = nk.mlp_apply(nk.Tape(), ps.grad_vars(), x)
     assert y.shape == (7, 2) and np.all(y.data == 0.0)
 
 
 def test_mlp_forward_shape_error_names_layer() -> None:
-    spec = nk.LayerSpec.mlp([4, 8, 3])
-    ps = nk.init_params(spec, np.random.default_rng(0))
-    with pytest.raises(nk.ShapeError, match="layer 0"):
-        nk.mlp_apply(nk.Tape(), spec, ps.grad_vars(),
-                     nk.const(np.zeros((2, 5))))
+    ps = nk.init_params([4, 8, 3], np.random.default_rng(0))
+    with pytest.raises(nk.ShapeError, match="affine"):
+        nk.mlp_apply(nk.Tape(), ps.grad_vars(), nk.const(np.zeros((2, 5))))
 
 
 def test_adam_first_step_matches_reference() -> None:
