@@ -7,8 +7,11 @@ directory, then trains five tiny configurations once with each side's src/
 on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
 written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
-byte and prints one line.  Last it prints the src/ line count of REV and
-of the working tree, counted as `find src -name '*.py' | xargs cat | wc -l`
+byte and prints one line.  Then it trains platform-td3 again on each side,
+resumes that run from its own final.ckpt to RESUME_STEPS
+(`train --resume OUT/final.ckpt --steps RESUME_STEPS --out OUT`) and
+compares the four files once more.  Last it prints the src/ line count of REV
+and of the working tree, counted as `find src -name '*.py' | xargs cat | wc -l`
 counts them.  Exit status 0 means every file of every configuration is
 identical; 1 means something differs or a run failed.  Each run takes a few
 seconds on one core.
@@ -37,6 +40,7 @@ CONFIGS = {
     "hard_move8-td3": {"env.id": "hard_move", "env.n": 8,
                        "run.algo": "hyar-td3"},
 }
+RESUMED, RESUME_STEPS = "platform-td3", 1200
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -53,18 +57,26 @@ def src_lines(src: str) -> int:
     return sum(p.read_bytes().count(b"\n") for p in Path(src).rglob("*.py"))
 
 
-def train(src: str, keys: dict, out: str, cfg_path: str) -> dict:
-    """Train one run into out; return {file name: bytes} (None if missing)."""
+def train(src: str, keys: dict, out: str, cfg_path: str,
+          resume_steps: int | None = None) -> dict:
+    """Train one run into out, then resume it to resume_steps if given;
+    return {file name: bytes} (None if missing or if a leg failed)."""
     shutil.rmtree(out, ignore_errors=True)
     with open(cfg_path, "w", encoding="utf-8") as fh:
         for key, val in {**SHARED, **keys, "run.out_dir": out}.items():
             fh.write(f"{key} = {val}\n")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    res = subprocess.run([sys.executable, "-m", "hyar.cli", "train",
-                          "--config", cfg_path], env=env, capture_output=True,
-                         text=True, timeout=600)
-    if res.returncode != 0:
-        sys.stderr.write(res.stderr)
+    legs = [["--config", cfg_path]]
+    if resume_steps is not None:
+        legs.append(["--resume", os.path.join(out, "final.ckpt"),
+                     "--steps", str(resume_steps), "--out", out])
+    for args in legs:
+        res = subprocess.run([sys.executable, "-m", "hyar.cli", "train",
+                              *args], env=env, capture_output=True,
+                             text=True, timeout=600)
+        if res.returncode != 0:
+            sys.stderr.write(res.stderr)
+            return dict.fromkeys(FILES)
     paths = {name: Path(out, name) for name in FILES}
     return {name: p.read_bytes() if p.exists() else None
             for name, p in paths.items()}
@@ -78,9 +90,12 @@ def main(argv: list[str]) -> int:
         new_src = os.path.join(ROOT, "src")
         out = os.path.join(tmp, "out")
         cfg = os.path.join(tmp, "run.cfg")
-        for name, keys in CONFIGS.items():
-            old = train(old_src, keys, out, cfg)
-            new = train(new_src, keys, out, cfg)
+        runs = [(name, keys, None) for name, keys in CONFIGS.items()]
+        runs.append((f"{RESUMED} resumed to {RESUME_STEPS}",
+                     CONFIGS[RESUMED], RESUME_STEPS))
+        for name, keys, steps in runs:
+            old = train(old_src, keys, out, cfg, steps)
+            new = train(new_src, keys, out, cfg, steps)
             bad = [f for f in FILES if old[f] is None or old[f] != new[f]]
             ok = ok and not bad
             print(f"{name}: " + ("identical" if not bad else

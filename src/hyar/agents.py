@@ -73,11 +73,6 @@ class AgentConfig:
         kw.setdefault("policy_delay", 1)
         return cls(algo="ddpg", **kw)
 
-    def check_buffer_holds(self, rows: int) -> None:
-        if self.buffer_capacity < rows:
-            raise ConfigError(
-                f"buffer capacity {self.buffer_capacity} below batch size {rows}")
-
     @property
     def num_critics(self) -> int:
         return 2 if self.algo == "td3" else 1

@@ -54,14 +54,14 @@ def _cmd_train(args) -> int:
     overrides = {key: getattr(args, key) for key in TRAIN_FLAGS.values()
                  if getattr(args, key) is not None}
     if args.resume:
+        if args.config:
+            raise ConfigError("--config cannot change a resumed run")
         trainer = Trainer.from_checkpoint(args.resume, overrides)
     else:
         file_values = parse_config_file(args.config) if args.config else None
         trainer = Trainer(build_config(file_values, overrides))
-    summary = trainer.run()
-    for key in ("env_step", "episodes", "mean_return", "success_rate",
-                "checkpoint", "checkpoint_sha1"):
-        print(f"{key} = {summary[key]}")
+    for key, value in trainer.run().items():
+        print(f"{key} = {value}")
     return 0
 
 

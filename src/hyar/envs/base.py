@@ -2,7 +2,8 @@
 
 An action is a discrete choice k plus a continuous parameter vector of the
 width k fixes (others are rejected).  Parameters live in [-1, 1]; out-of-range
-components are clamped (and counted on env.clamp_count), never rejected.
+components, +-inf included, are clamped (and counted on env.clamp_count);
+NaN components are rejected.
 Episodes are deterministic functions of the reset seed.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 
 class EnvUsageError(RuntimeError):
-    """step() after the episode ended, or before the first reset()."""
+    """step() before reset(), after the episode ended, or on a bad action."""
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,10 @@ class HybridEnv:
         if x.size != want:
             raise EnvUsageError(
                 f"action {k} needs {want} parameters, got {x.size}")
-        n_clamped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
-        if n_clamped:
+        n_clamped = x.size - int(np.count_nonzero(np.abs(x) <= 1.0))
+        if n_clamped:  # NaN counts here too, so finite actions skip this test
+            if np.isnan(x).any():
+                raise EnvUsageError(f"action {k} parameters hold NaN")
             self.clamp_count += n_clamped
             x = np.clip(x, -1.0, 1.0)
         self._t += 1

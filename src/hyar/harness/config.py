@@ -1,9 +1,9 @@
 """Run configuration: typed flat keys, file parsing, per-env warm-up defaults.
 
 Config files are UTF-8 text, one `section.key = value` per line, `#` comments.
-CLI flags override file values.  Agent hyperparameters default to the chosen
-algorithm's preset; a key set here overrides the preset.  The `agent.*` keys
-are the fields of AgentConfig, which declares their types, defaults and checks.
+CLI flags override file values.  Each `env.*`, `run.*` and `repr.*` key is
+declared on its RunConfig field; the `agent.*` keys are the fields of
+AgentConfig, whose values default to the chosen algorithm's preset.
 """
 from __future__ import annotations
 
@@ -28,31 +28,10 @@ def _optional(kind):
     return parse
 
 
-# config key -> (RunConfig field, or AgentConfig field for agent.*, parser);
-# also fixes manifest ordering
-KEYS = {
-    "env.id": ("env_id", str),
-    "env.n": ("env_n", _optional(int)),
-    "run.algo": ("algo", str),
-    "run.seed": ("seed", int),
-    "run.total_env_steps": ("total_env_steps", int),
-    "run.warmup_env_steps": ("warmup_env_steps", _optional(int)),
-    "run.eval_interval": ("eval_interval", int),
-    "run.eval_episodes": ("eval_episodes", int),
-    "run.out_dir": ("out_dir", str),
-    "repr.d1": ("d1", int),
-    "repr.d2": ("d2", int),
-    "repr.lr": ("repr_lr", float),
-    "repr.c": ("c", float),
-    "repr.beta": ("beta", float),
-    "repr.kl_weight": ("kl_weight", float),
-    "repr.pretrain_batches": ("pretrain_batches", int),
-    "repr.batch": ("repr_batch", int),
-    "repr.every_episodes": ("repr_every_episodes", int),
-    "repr.ema_decay": ("ema_decay", float),
-    **{f"agent.{f.name}": (f.name, _optional(type(f.default)))
-       for f in fields(AgentConfig) if f.name != "algo"},
-}
+def _key(key: str, default, parse=None):
+    """RunConfig field set by `key`, read by `parse` or type(default)."""
+    return field(default=default,
+                 metadata={"key": key, "parse": parse or type(default)})
 
 
 @dataclass
@@ -60,25 +39,26 @@ class RunConfig:
     """Everything one training run needs; `agent` holds the agent.* values
     set explicitly, each overriding the algo preset."""
 
-    env_id: str = "platform"
-    env_n: int | None = None
-    algo: str = "hyar-td3"
-    seed: int = 0
-    total_env_steps: int = 200_000
-    warmup_env_steps: int | None = None
-    eval_interval: int = 5000
-    eval_episodes: int = 100
-    out_dir: str = "runs/out"
-    d1: int = 6
-    d2: int = 6
-    repr_lr: float = 1e-4
-    c: float = 96.0
-    beta: float = 10.0
-    kl_weight: float = 0.5
-    pretrain_batches: int = 5000
-    repr_batch: int = 64
-    repr_every_episodes: int = 10
-    ema_decay: float = 0.99
+    env_id: str = _key("env.id", "platform")
+    env_n: int | None = _key("env.n", None, _optional(int))
+    algo: str = _key("run.algo", "hyar-td3")
+    seed: int = _key("run.seed", 0)
+    total_env_steps: int = _key("run.total_env_steps", 200_000)
+    warmup_env_steps: int | None = _key("run.warmup_env_steps", None,
+                                        _optional(int))
+    eval_interval: int = _key("run.eval_interval", 5000)
+    eval_episodes: int = _key("run.eval_episodes", 100)
+    out_dir: str = _key("run.out_dir", "runs/out")
+    d1: int = _key("repr.d1", 6)
+    d2: int = _key("repr.d2", 6)
+    repr_lr: float = _key("repr.lr", 1e-4)
+    c: float = _key("repr.c", 96.0)
+    beta: float = _key("repr.beta", 10.0)
+    kl_weight: float = _key("repr.kl_weight", 0.5)
+    pretrain_batches: int = _key("repr.pretrain_batches", 5000)
+    repr_batch: int = _key("repr.batch", 64)
+    repr_every_episodes: int = _key("repr.every_episodes", 10)
+    ema_decay: float = _key("repr.ema_decay", 0.99)
     agent: dict = field(default_factory=dict)
 
     def warmup(self) -> int:
@@ -95,38 +75,34 @@ class RunConfig:
 
     def validate(self) -> None:
         check_finite_floats(self)
-        spec = make(self.env_id, self.env_n).spec()  # raises ConfigError itself
+        make(self.env_id, self.env_n)  # raises ConfigError itself
         acfg = self.agent_config()
-        if self.seed < 0:
-            raise ConfigError("run.seed must be >= 0")
+        for key in ("run.seed", "repr.pretrain_batches", "repr.beta",
+                    "repr.kl_weight"):
+            if getattr(self, KEYS[key][0]) < 0:
+                raise ConfigError(f"{key} must be >= 0")
+        for key in ("run.eval_interval", "run.eval_episodes", "repr.d1",
+                    "repr.d2", "repr.batch", "repr.every_episodes"):
+            if getattr(self, KEYS[key][0]) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.repr_lr <= 0.0:
+            raise ConfigError("repr.lr must be positive")
+        if not 0.0 < self.c <= 100.0:
+            raise ConfigError(f"repr.c must lie in (0, 100], got {self.c}")
+        if not 0.0 < self.ema_decay < 1.0:
+            raise ConfigError("repr.ema_decay must lie in (0, 1)")
         warm = self.warmup()
         if not 0 < warm < self.total_env_steps:
             raise ConfigError(
                 f"need 0 < warmup ({warm}) < total_env_steps "
                 f"({self.total_env_steps})")
-        if self.eval_interval < 1 or self.eval_episodes < 1:
-            raise ConfigError("eval interval and episode count must be >= 1")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ConfigError("latent dims d1, d2 must be >= 1")
-        if self.repr_lr <= 0.0:
-            raise ConfigError("repr.lr must be positive")
-        if not 0.0 < self.c <= 100.0:
-            raise ConfigError(f"repr.c must lie in (0, 100], got {self.c}")
-        if self.beta < 0.0 or self.kl_weight < 0.0:
-            raise ConfigError("repr.beta and repr.kl_weight must be >= 0")
-        if self.pretrain_batches < 0 or self.repr_batch < 1:
-            raise ConfigError("bad repr batch settings")
-        if self.repr_every_episodes < 1:
-            raise ConfigError("repr.every_episodes must be >= 1")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ConfigError("repr.ema_decay must lie in (0, 1)")
         need = max(self.repr_batch, acfg.batch_size, 100)
         if warm < need:
             raise ConfigError(
                 f"warm-up of {warm} steps cannot fill one batch (need {need})")
-        acfg.check_buffer_holds(need)
-        if spec.max_param_dim < 1:
-            raise ConfigError("environment exposes no continuous parameters")
+        if acfg.buffer_capacity < need:
+            raise ConfigError(
+                f"buffer capacity {acfg.buffer_capacity} below batch size {need}")
 
     def manifest_lines(self) -> list[str]:
         """Every key with its fully resolved value, in KEYS order."""
@@ -143,6 +119,16 @@ class RunConfig:
     def config_text(self) -> str:
         """Flat config-file form; parsing it back resolves identically."""
         return "\n".join(self.manifest_lines()) + "\n"
+
+
+# config key -> (RunConfig field, or AgentConfig field for agent.*, parser);
+# also fixes manifest ordering
+KEYS = {
+    **{f.metadata["key"]: (f.name, f.metadata["parse"])
+       for f in fields(RunConfig) if "key" in f.metadata},
+    **{f"agent.{f.name}": (f.name, _optional(type(f.default)))
+       for f in fields(AgentConfig) if f.name != "algo"},
+}
 
 
 def parse_config_lines(lines, where: str = "<config>") -> dict:

@@ -36,10 +36,11 @@ def gradcheck_suite(samples_per_entry: int = 4, seed: int = 0) -> dict:
     x = rng.uniform(-1, 1, size=(B, spec.max_param_dim))
     s_next = s + 0.1 * rng.normal(size=s.shape)
     noise = rng.standard_normal(size=(B, model.d2))
-    _rec, grads = model.loss_grads(s, k, x, s_next, 10.0, 0.5, noise)
+    weights = (10.0, 0.5)  # beta, kl_weight: the same for both losses
+    _rec, grads = model.loss_grads(s, k, x, s_next, *weights, noise)
 
     def repr_loss() -> float:
-        return model.hyar_loss(s, k, x, s_next, noise=noise).total
+        return model.hyar_loss(s, k, x, s_next, *weights, noise=noise).total
 
     report = nk.finite_diff_check(repr_loss, model.params, grads,
                                   samples_per_entry=samples_per_entry,

@@ -25,13 +25,14 @@ import numpy as np
 from .. import numkit as nk
 from ..agents import (AgentNets, ReplayBuffer, actor_update, critic_update,
                       decode_action, relabel_batch, select_latent_action)
-from ..envs import HybridAction, make
+from ..envs import ConfigError, HybridAction, make
 from ..representation import LatentBounds, ReprModel
 from .config import RunConfig, build_config, parse_config_lines
 from .metrics import EVAL_HEADER, METRICS_HEADER, CsvLog, write_manifest
 
 BOUNDS_SAMPLE_CAP = 2000  # latents fed to each percentile refresh
 CONFIG_ENTRY = "config"  # read first: it builds the Trainer that loads the rest
+RESUME_KEYS = ("run.total_env_steps", "run.out_dir")  # all a resume may change
 
 
 def derive_seed(*parts) -> int:
@@ -64,7 +65,7 @@ def _rng_slot(name: str, gen: np.random.Generator) -> nk.Slot:
     def load(d: dict) -> None:
         try:
             gen.bit_generator.state = json.loads(_utf8_str(d, name))
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise nk.CheckpointError(
                 f"{name}: bad generator state: {exc}") from exc
     return nk.Slot(
@@ -364,6 +365,9 @@ class Trainer:
     @classmethod
     def from_checkpoint(cls, path: str,
                         overrides: dict | None = None) -> "Trainer":
+        fixed = sorted(set(overrides or {}) - set(RESUME_KEYS))
+        if fixed:
+            raise ConfigError(f"a resume may set only {RESUME_KEYS}, not {fixed}")
         entries = nk.load_checkpoint(path)
         values = parse_config_lines(
             _utf8_str(entries, CONFIG_ENTRY).splitlines(), where=path)

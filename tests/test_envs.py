@@ -145,6 +145,20 @@ def test_usage_errors_and_clamping() -> None:
         with pytest.raises(envs.EnvUsageError, match="needs 1 parameters"):
             penv.step(HybridAction(0, np.array(x)))
     assert penv.clamp_count == 0
+    # a NaN parameter is rejected in every env; +-inf clamps and is counted
+    for env_id in envs.ENV_IDS:
+        nenv = envs.make(env_id, 4)
+        nenv.reset(0)
+        k = int(np.argmax(nenv.spec().param_dims))
+        width = nenv.spec().param_dims[k]
+        x = np.zeros(width)
+        x[-1] = np.nan
+        with pytest.raises(envs.EnvUsageError, match="NaN"):
+            nenv.step(HybridAction(k, x))
+        assert nenv.clamp_count == 0
+        x[-1] = -np.inf
+        assert np.all(np.isfinite(nenv.step(HybridAction(k, x)).state))
+        assert nenv.clamp_count == 1
     # clamped x=1.7 behaves exactly like x=1.0
     env2 = envs.make("catch_point")
     env2.reset(0)

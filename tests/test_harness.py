@@ -1,4 +1,5 @@
 """Harness: config parsing, warm-up, loop accounting, metrics, resume, CLI."""
+import json
 import os
 import shutil
 import tempfile
@@ -87,6 +88,25 @@ def test_config_validation_errors() -> None:
         build_config(overrides={"repr.c": 0.0}).validate()
     with pytest.raises(ConfigError):
         build_config(overrides={"run.algo": "td3"}).validate()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("run.seed", -1), ("run.eval_interval", 0), ("run.eval_episodes", 0),
+    ("repr.d1", 0), ("repr.d2", 0), ("repr.lr", 0.0), ("repr.c", 100.5),
+    ("repr.beta", -0.1), ("repr.kl_weight", -0.1),
+    ("repr.pretrain_batches", -1), ("repr.batch", 0),
+    ("repr.every_episodes", 0), ("repr.ema_decay", 0.0),
+    ("repr.ema_decay", 1.0), ("agent.buffer_capacity", 127)])
+def test_every_run_config_bound_is_checked(key, value) -> None:
+    with pytest.raises(ConfigError):
+        build_config(overrides={key: value}).validate()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("run.seed", 0), ("repr.beta", 0.0), ("repr.c", 100.0),
+    ("repr.pretrain_batches", 0), ("agent.buffer_capacity", 128)])
+def test_run_config_boundary_values_validate(key, value) -> None:
+    build_config(overrides={key: value}).validate()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -381,6 +401,28 @@ def test_resume_after_killed_resume_matches_uninterrupted(tmp_path) -> None:
         assert a == b, name
 
 
+def test_resume_refuses_overrides_that_change_the_run(tmp_path) -> None:
+    """A resume may change only its step budget and output directory; any
+    other key, or a config file, exits 2 before anything is read or
+    written."""
+    _tr, out, _summary = tiny_run()
+    ckpt = os.path.join(out, "final.ckpt")
+    before = open(ckpt, "rb").read()
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("run.seed = 9\n")
+    resumed = str(tmp_path / "resumed")
+    for flags in (["--algo", "hyar-ddpg"], ["--seed", "9"], ["--env", "goal"],
+                  ["--n", "4"], ["--config", str(cfg)]):
+        assert cli_main(["train", "--resume", ckpt, "--steps", "800",
+                         "--out", resumed, *flags]) == 2, flags
+        assert not os.path.exists(resumed)
+    with pytest.raises(ConfigError):  # refused before the file is opened
+        Trainer.from_checkpoint(str(tmp_path / "nope.ckpt"), {"run.seed": 9})
+    assert open(ckpt, "rb").read() == before
+    assert cli_main(["train", "--resume", ckpt, "--out", resumed]) == 0
+    assert os.path.exists(os.path.join(resumed, "final.ckpt"))
+
+
 def test_rerun_bit_identical(tmp_path) -> None:
     outs = [str(tmp_path / d) for d in ("r1", "r2")]
     for out in outs:
@@ -470,6 +512,13 @@ def _poke(name: str, value: float):
     return _entries_edit(edit)
 
 
+def _rng_word(d: dict) -> np.ndarray:
+    """The stream generator's state text with an out-of-range state word."""
+    state = json.loads(bytes(d["rng.stream"].astype(np.uint8)).decode())
+    state["has_uint32"] = 10**30
+    return np.frombuffer(json.dumps(state).encode(), np.uint8).astype(float)
+
+
 def _set(name: str, value):
     """Replace entry `name` by value, or by value(entries) if callable."""
     return _entries_edit(lambda d: d.__setitem__(
@@ -520,6 +569,7 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     # a valid byte plus 256: wrapping it would read back the same text
     pytest.param(_poke("config", 357.0), id="config-byte-past-255"),
     pytest.param(_poke("rng.stream", 379.0), id="rng-byte-past-255"),
+    pytest.param(_set("rng.stream", _rng_word), id="rng-word-overflow"),
 ])
 def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
     """Every malformed checkpoint is an I/O error (exit 4), never a traceback
