@@ -41,7 +41,7 @@ def main():
     print(f"\nrun directory: {out}")
     print("continue it with:")
     print(f"  python3 -m hyar.cli train --resume {out}/final.ckpt "
-          "--steps 16000 --out <dir>")
+          "--steps 16000")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ spawn() {
 # det-a from scratch.
 det_b() {
   run det-b-half --env platform --seed 11 --steps 10000 --out runs_cache/det-b &&
-    run det-b-full --resume runs_cache/det-b/final.ckpt --steps 20000 --out runs_cache/det-b
+    run det-b-full --resume runs_cache/det-b/final.ckpt --steps 20000
 }
 spawn run det-a --env platform --seed 11 --steps 20000 --out runs_cache/det-a
 spawn det_b

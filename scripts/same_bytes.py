@@ -9,12 +9,12 @@ written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
 byte and prints one line.  Then it trains platform-td3 again on each side,
 resumes that run from its own final.ckpt to RESUME_STEPS
-(`train --resume OUT/final.ckpt --steps RESUME_STEPS --out OUT`) and
-compares the four files once more.  Last it prints the src/ line count of REV
-and of the working tree, counted as `find src -name '*.py' | xargs cat | wc -l`
-counts them.  Exit status 0 means every file of every configuration is
-identical; 1 means something differs or a run failed.  Each run takes a few
-seconds on one core.
+(`train --resume OUT/final.ckpt --steps RESUME_STEPS`, which continues in
+OUT) and compares the four files once more.  Last it prints the src/ line
+count of REV and of the working tree, counted as
+`find src -name '*.py' | xargs cat | wc -l` counts them.  Exit status 0
+means every file of every configuration is identical; 1 means something
+differs or a run failed.  Each run takes a few seconds on one core.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def train(src: str, keys: dict, out: str, cfg_path: str,
     legs = [["--config", cfg_path]]
     if resume_steps is not None:
         legs.append(["--resume", os.path.join(out, "final.ckpt"),
-                     "--steps", str(resume_steps), "--out", out])
+                     "--steps", str(resume_steps)])
     for args in legs:
         res = subprocess.run([sys.executable, "-m", "hyar.cli", "train",
                               *args], env=env, capture_output=True,

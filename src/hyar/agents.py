@@ -241,13 +241,10 @@ class AgentNets:
 
 
 def select_latent_action(nets: AgentNets, bounds: LatentBounds, s: np.ndarray,
-                         explore: bool = False,
                          rng: np.random.Generator | None = None):
-    """(e, z) for one state: tanh actor, noise pre-rescale, clip, rescale."""
+    """(e, z) for one state: tanh actor, noise if rng is set, clip, rescale."""
     raw = nets.actor_raw(s[None])[0]
-    if explore:
-        if rng is None:
-            raise ValueError("explore=True needs an rng")
+    if rng is not None:
         noise = rng.normal(0.0, nets.config.expl_sigma, size=raw.shape)
         raw = np.clip(raw + noise.astype(raw.dtype), -1.0, 1.0)
     lat = bounds.rescale(raw)
@@ -372,17 +369,15 @@ def critic_update(nets: AgentNets, batch: Batch, bounds: LatentBounds,
                   rng: np.random.Generator | None = None) -> float:
     """One Adam step per critic on the clipped double-Q objective.
 
-    Returns the mean critic loss (pre-update).  A numeric fault skips the
-    faulting critic's step and bumps nets.fault_count instead of raising.
+    Returns the mean critic loss (pre-update).  A critic whose gradient is
+    not finite keeps its parameters, and nets.fault_count counts it.
     """
     y = td_targets(nets, batch, bounds, rng)
     lat = np.concatenate([batch.e, batch.z], axis=1)
     losses = []
     for i in range(len(nets.critics)):
         loss, grads = critic_loss_grads(nets, i, batch.s, lat, y)
-        try:
-            nk.adam_step(nets.critics[i], grads, nets.opt_critics[i])
-        except nk.NumericFault:
+        if not nk.adam_step(nets.critics[i], grads, nets.opt_critics[i]):
             nets.fault_count += 1
         losses.append(loss)
     nets.critic_updates += 1
@@ -392,9 +387,7 @@ def critic_update(nets: AgentNets, batch: Batch, bounds: LatentBounds,
 def actor_update(nets: AgentNets, batch: Batch, bounds: LatentBounds) -> float:
     """Deterministic policy gradient step, then soft-update every target."""
     loss, grads = actor_loss_grads(nets, batch.s, bounds)
-    try:
-        nk.adam_step(nets.actor, grads, nets.opt_actor)
-    except nk.NumericFault:
+    if not nk.adam_step(nets.actor, grads, nets.opt_actor):
         nets.fault_count += 1
         return loss
     nets.sync_targets(nets.config.tau_actor, nets.config.tau_critic)

@@ -36,9 +36,6 @@ class HardMoveEnv(HybridEnv):
     def __init__(self, n: int):
         super().__init__(hard_move_spec(n))
         self._n = n
-        phi = 2.0 * np.pi * np.arange(n) / n
-        self._cos = np.cos(phi)
-        self._sin = np.sin(phi)
 
     def _reset_state(self) -> np.ndarray:
         self._pos = np.zeros(2)
@@ -50,9 +47,7 @@ class HardMoveEnv(HybridEnv):
         return self._state()
 
     def _step_inner(self, k: int, x: np.ndarray) -> StepResult:
-        bits = (k >> np.arange(self._n)) & 1
-        contrib = bits * x * ACTUATOR_GAIN
-        delta = np.array([contrib @ self._cos, contrib @ self._sin])
+        delta = displacement(self._n, k, x)
         self._pos = np.clip(self._pos + delta, -1.0, 1.0)
         dist = float(np.hypot(*(self._pos - self._target)))
         success = dist <= SUCCESS_RADIUS

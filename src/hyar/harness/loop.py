@@ -32,7 +32,7 @@ from .metrics import EVAL_HEADER, METRICS_HEADER, CsvLog, write_manifest
 
 BOUNDS_SAMPLE_CAP = 2000  # latents fed to each percentile refresh
 CONFIG_ENTRY = "config"  # read first: it builds the Trainer that loads the rest
-RESUME_KEYS = ("run.total_env_steps", "run.out_dir")  # all a resume may change
+RESUME_KEYS = ("run.total_env_steps",)  # all a resume may change
 
 
 def derive_seed(*parts) -> int:
@@ -258,7 +258,7 @@ class Trainer:
         done = False
         while not done:
             e, z = select_latent_action(self.nets, self.bounds, s,
-                                        explore=True, rng=self.stream)
+                                        rng=self.stream)
             lat = np.concatenate([e, z])
             inside = (lat > self.bounds.lower) & (lat < self.bounds.upper)
             self.acc.add("cover", 1.0 if inside.all() else 0.0)
@@ -299,9 +299,6 @@ class Trainer:
                 self.warmup_stage()
             while self.env_step < cfg.total_env_steps:
                 self._training_episode()
-        except nk.NumericFault:
-            self.save_checkpoint(os.path.join(cfg.out_dir, "abort.ckpt"))
-            raise
         finally:
             self.metrics.close()
             self.evallog.close()
@@ -371,7 +368,12 @@ class Trainer:
         entries = nk.load_checkpoint(path)
         values = parse_config_lines(
             _utf8_str(entries, CONFIG_ENTRY).splitlines(), where=path)
-        tr = cls(build_config(values, overrides))
+        budget = build_config(values).total_env_steps
+        cfg = build_config(values, overrides)
+        if cfg.total_env_steps < budget:
+            raise ConfigError(
+                f"a resume cannot lower run.total_env_steps below {budget}")
+        tr = cls(cfg)
         for slot in tr._slots():
             slot.load(entries)
         tr.warmed_up = True

@@ -8,9 +8,10 @@ only autodiff mechanism in the package; an MLP is its list of widths,
 built by init_params into a ParameterSet, run by mlp_apply and trained with
 adam_step / soft_update.  There is one gradient path: a training tape built
 over ParameterSet.grad_vars() (which zeroes the set's flat .grad) writes its
-backward() into .grad, and adam_step reads that flat vector.
+backward() into .grad, and adam_step reads that flat vector (it returns
+False, and changes nothing, if the vector is not finite).
 """
-from .errors import NumericFault, ShapeError, TapeUsageError
+from .errors import ShapeError, TapeUsageError
 from .policy import TRAIN_DTYPE, model_dtype, float64_models
 from .tape import Tape, Var, leaf, const
 from .nets import ParameterSet, init_params, mlp_apply
@@ -22,7 +23,7 @@ from .checkpoint import (MAGIC, CheckpointError, save_checkpoint,
                          Slot, gather, fields_slot, git_blob_sha1)
 
 __all__ = [
-    "NumericFault", "ShapeError", "TapeUsageError",
+    "ShapeError", "TapeUsageError",
     "TRAIN_DTYPE", "model_dtype", "float64_models",
     "Tape", "Var", "leaf", "const",
     "ParameterSet", "init_params", "mlp_apply",

@@ -7,7 +7,3 @@ class ShapeError(ValueError):
 
 class TapeUsageError(RuntimeError):
     """A gradient tape was used outside its contract (e.g. consumed twice)."""
-
-
-class NumericFault(FloatingPointError):
-    """Non-finite values reached an optimizer update; the update was rejected."""

@@ -2,7 +2,7 @@
 
 Error metric: for each named entry, max |g_ad - g_fd| over the probed
 coordinates divided by the entry's gradient scale max(|g_ad|, |g_fd|, 1e-12).
-Normalizing by the entry scale (not per-coordinate) keeps h-sized difference
+Normalizing by the entry scale (not per-coordinate) keeps H-sized difference
 noise on near-zero coordinates from reading as huge relative error.
 """
 from __future__ import annotations
@@ -11,9 +11,11 @@ import numpy as np
 
 from .nets import ParameterSet
 
+H = 1e-5  # central-difference step
+
 
 def finite_diff_check(loss_fn, params: ParameterSet, grads,
-                      h: float = 1e-5, samples_per_entry: int | None = None,
+                      samples_per_entry: int | None = None,
                       rng: np.random.Generator | None = None) -> dict:
     """Compare an analytic gradient against central differences of loss_fn.
 
@@ -44,12 +46,12 @@ def finite_diff_check(loss_fn, params: ParameterSet, grads,
         g_fd = np.empty(coords.size, dtype=np.float64)
         for j, c in enumerate(coords):
             orig = view[c]
-            view[c] = orig + h
+            view[c] = orig + H
             f_plus = float(loss_fn())
-            view[c] = orig - h
+            view[c] = orig - H
             f_minus = float(loss_fn())
             view[c] = orig
-            g_fd[j] = (f_plus - f_minus) / (2.0 * h)
+            g_fd[j] = (f_plus - f_minus) / (2.0 * H)
         diff = np.abs(g_ad[coords] - g_fd)
         scale = max(np.abs(g_ad[coords]).max(initial=0.0),
                     np.abs(g_fd).max(initial=0.0), 1e-12)

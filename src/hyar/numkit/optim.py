@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .checkpoint import Slot, array_slot, count_slot
-from .errors import NumericFault, ShapeError
+from .errors import ShapeError
 from .nets import ParameterSet
 
 # Adam's moment decays and denominator offset (Kingma & Ba defaults)
@@ -31,12 +31,12 @@ class AdamState:
                 count_slot(f"{prefix}.t", self, "t")]
 
 
-def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
+def adam_step(params: ParameterSet, grads, state: AdamState) -> bool:
     """One Adam update in place.  grads: a flat vector in the layout of
     params.flat, usually params.grad (Adam only reads it; grad_vars zeroes it).
     The arithmetic runs in the dtype of params.flat.
 
-    Non-finite gradients reject the whole update and raise NumericFault.
+    Returns True; a non-finite gradient changes nothing and returns False.
     """
     g = np.asarray(grads, dtype=params.flat.dtype)
     if g.shape != (params.size,):
@@ -44,7 +44,7 @@ def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
     # g @ g is finite iff every entry is finite (and none overflows squaring)
     sq_norm = float(g @ g)
     if not math.isfinite(sq_norm):
-        raise NumericFault("non-finite gradient; update rejected")
+        return False
     state.t += 1
     m, v, tmp = state.m, state.v, state._tmp
     m *= B1
@@ -62,6 +62,7 @@ def adam_step(params: ParameterSet, grads, state: AdamState) -> None:
     np.divide(m, tmp, out=tmp)
     tmp *= step
     params.flat -= tmp
+    return True
 
 
 def soft_update(target: ParameterSet, source: ParameterSet, tau: float) -> None:

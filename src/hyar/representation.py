@@ -31,7 +31,7 @@ class ReprLossRecord:
     dyn: float
     recon: float
     kl: float
-    skipped: bool = False  # update rejected on a numeric fault
+    skipped: bool = False  # update rejected: the gradient was not finite
 
 
 @dataclass
@@ -281,17 +281,14 @@ class ReprModel:
     def repr_train_batch(self, s, k, x_pad, s_next, rng: np.random.Generator,
                          beta: float = 10.0,
                          kl_weight: float = 0.5) -> ReprLossRecord:
-        """One joint Adam step on (zeta, phi, psi).  Numeric faults skip the
-        update (flagged in the record) instead of raising."""
+        """One joint Adam step on (zeta, phi, psi), then the table repair.
+        A non-finite gradient skips both, and the record says so."""
         noise = rng.standard_normal(size=(np.shape(s)[0], self.d2))
         record, grads = self.loss_grads(s, k, x_pad, s_next, beta, kl_weight,
                                         noise)
-        try:
-            nk.adam_step(self.params, grads, self.opt)
-        except nk.NumericFault:
-            record.skipped = True
-            return record
-        self.repair_rows(rng)
+        record.skipped = not nk.adam_step(self.params, grads, self.opt)
+        if not record.skipped:
+            self.repair_rows(rng)
         return record
 
     # ---- latent bounds and export -------------------------------------

@@ -159,11 +159,11 @@ def test_select_exploration_clips_then_rescales() -> None:
     b = LatentBounds(lo, hi, 96.0)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        e, z = select_latent_action(nets, b, s, explore=True, rng=rng)
+        e, z = select_latent_action(nets, b, s, rng=rng)
         lat = np.concatenate([e, z])
         assert np.all(lat >= lo) and np.all(lat <= hi)
-    e1, z1 = select_latent_action(nets, b, s, explore=True, rng=rng)
-    e2, z2 = select_latent_action(nets, b, s, explore=True, rng=rng)
+    e1, z1 = select_latent_action(nets, b, s, rng=rng)
+    e2, z2 = select_latent_action(nets, b, s, rng=rng)
     assert not np.array_equal(e1, e2)
 
 
@@ -410,6 +410,19 @@ def test_actor_update_raises_q() -> None:
     before = mean_q()
     actor_update(nets, batch, b)
     assert mean_q() > before
+
+
+def test_actor_update_nonfinite_gradient_moves_nothing() -> None:
+    spec, cfg, model, nets = small_setup()
+    rng = np.random.default_rng(36)
+    batch = consistent_batch(spec, model, 8, rng)
+    batch.s[0, 0] = np.nan
+    sets = [nets.actor, nets.target_actor, *nets.target_critics]
+    before = [p.flat.copy() for p in sets]
+    actor_update(nets, batch, identity_bounds())
+    assert nets.fault_count == 1 and nets.actor_updates == 0
+    for prev, p in zip(before, sets):
+        assert np.array_equal(prev, p.flat)
 
 
 def test_actor_update_tau_one_copies_targets() -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyar import numkit as nk
+from hyar import cli, numkit as nk
 from hyar.cli import main as cli_main
 from hyar.errors import ConfigError
 from hyar.harness import (METRICS_HEADER, CsvLog, RunConfig, Trainer,
@@ -402,25 +402,32 @@ def test_resume_after_killed_resume_matches_uninterrupted(tmp_path) -> None:
 
 
 def test_resume_refuses_overrides_that_change_the_run(tmp_path) -> None:
-    """A resume may change only its step budget and output directory; any
-    other key, or a config file, exits 2 before anything is read or
-    written."""
-    _tr, out, _summary = tiny_run()
+    """A resume may only raise its step budget, in the run's own directory;
+    any other key, a lower budget, or a config file exits 2 and writes
+    nothing."""
+    out = str(tmp_path / "run")
+    Trainer(build_config(overrides=tiny_overrides(out, total=400))).run()
     ckpt = os.path.join(out, "final.ckpt")
-    before = open(ckpt, "rb").read()
+    files = sorted(os.listdir(out))
+    before = {name: open(os.path.join(out, name), "rb").read()
+              for name in files}
     cfg = tmp_path / "other.cfg"
     cfg.write_text("run.seed = 9\n")
     resumed = str(tmp_path / "resumed")
     for flags in (["--algo", "hyar-ddpg"], ["--seed", "9"], ["--env", "goal"],
-                  ["--n", "4"], ["--config", str(cfg)]):
-        assert cli_main(["train", "--resume", ckpt, "--steps", "800",
-                         "--out", resumed, *flags]) == 2, flags
+                  ["--n", "4"], ["--config", str(cfg)], ["--out", resumed],
+                  ["--steps", "300"]):
+        steps = [] if "--steps" in flags else ["--steps", "800"]
+        assert cli_main(["train", "--resume", ckpt, *steps, *flags]) == 2, flags
         assert not os.path.exists(resumed)
+        assert sorted(os.listdir(out)) == files
+        for name in files:
+            assert open(os.path.join(out, name), "rb").read() == before[name]
     with pytest.raises(ConfigError):  # refused before the file is opened
         Trainer.from_checkpoint(str(tmp_path / "nope.ckpt"), {"run.seed": 9})
-    assert open(ckpt, "rb").read() == before
-    assert cli_main(["train", "--resume", ckpt, "--out", resumed]) == 0
-    assert os.path.exists(os.path.join(resumed, "final.ckpt"))
+    # the same budget again is a no-op resume in the run's own directory
+    assert cli_main(["train", "--resume", ckpt, "--steps", "400"]) == 0
+    assert open(ckpt, "rb").read() == before["final.ckpt"]
 
 
 def test_rerun_bit_identical(tmp_path) -> None:
@@ -461,6 +468,12 @@ def test_cli_train_and_exit_codes(tmp_path, capsys) -> None:
     assert cli_main(["export-latents", "--ckpt", ckpt, "--out", latents]) == 0
     header = open(latents).readline().strip()
     assert header.endswith("k,dyn_error")
+
+
+def test_cli_gradcheck_failure_exits_3(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "TOLERANCE", 0.0)
+    assert cli_main(["gradcheck", "--samples", "1"]) == 3
+    assert "numeric fault: gradient check failed" in capsys.readouterr().err
 
 
 # ---- malformed checkpoints ---------------------------------------------
