@@ -3,10 +3,10 @@
 #
 # Runs land in runs_cache/<name> with a <name>.done marker, so an interrupted
 # batch can be re-invoked and only the unfinished runs repeat.  Up to nproc
-# runs go at once, each a single process with one BLAS thread and raised
-# glibc malloc thresholds (freed temporaries stay mapped instead of going
-# back to the OS and faulting in again).  Neither setting changes the bits of
-# metrics.csv/eval.csv.  det-b-full resumes det-b-half's checkpoint, so it
+# runs go at once, each a single process with one BLAS thread; `hyar train`
+# fixes glibc's malloc thresholds itself, so freed temporaries stay mapped
+# instead of going back to the OS and faulting in again.  Neither setting
+# changes the bits of metrics.csv/eval.csv.  det-b-full resumes det-b-half's checkpoint, so it
 # starts only once det-b-half has succeeded.  Budget: about 5.6M env steps at
 # 40-75 steps/s per run, so roughly a day one run at a time and about half a
 # day two at a time on a 2-core box.
@@ -15,8 +15,6 @@ cd "$(dirname "$0")/.." || exit 1
 PY="${PYTHON:-python3}"
 JOBS="$(nproc 2>/dev/null || echo 1)"
 export OPENBLAS_NUM_THREADS=1
-export MALLOC_TRIM_THRESHOLD_=67108864
-export MALLOC_MMAP_THRESHOLD_=33554432
 mkdir -p runs_cache
 
 run() {

@@ -11,7 +11,19 @@ change first on odd ones, so slow spells of the host hit both sides alike.  Each
 over that side's runs; the perfbench machine block of its first run; the
 number of pairs the change won on each metric; and, with --tier1, the
 wall time of the Tier-1 suite and of acceptance criterion 4 in that
-checkout.  BLAS threads are left as the environment sets them.
+checkout.  BLAS threads are left as the environment sets them; the script
+prints each side's thread count from its machine block.
+
+After each pair it prints every workload's rl_steps_per_s on both sides.
+At the end it prints, for each workload and end-to-end metric of
+BENCHMARK.json, the base median and quartiles, the change median, the
+pairs the change won and the benchmark gate's verdict:
+  gain              the change won at least 9 of 10 pairs and the medians
+                    differ by more than the base IQR;
+  worse than bound  the change median is worse than the base median by
+                    more than the metric's bound (a share of the base);
+  unresolved        the base IQR is wider than the bound;
+  no change         otherwise.
 """
 from __future__ import annotations
 
@@ -75,6 +87,41 @@ def summary(runs: list, wins: dict, seeds: list, seconds: float) -> dict:
             "change_wins": wins}
 
 
+def verdict(base: dict, change: dict, won: int, pairs: int, better: str,
+            bound: float) -> str:
+    """The benchmark gate's reading of one metric (see the module text)."""
+    sign = 1.0 if better == "higher" else -1.0
+    gain = sign * (change["median"] - base["median"])
+    iqr = base["q3"] - base["q1"]
+    scale = abs(base["median"])
+    if won >= 0.9 * pairs and gain > iqr:
+        return "gain"
+    if -gain > bound * scale:
+        return "worse than bound"
+    if iqr > bound * scale:
+        return "unresolved"
+    return "no change"
+
+
+def verdicts(base: dict, change: dict, won: dict, end_to_end: list,
+             pairs: int) -> list[str]:
+    """One line per workload and end-to-end metric that both sides have."""
+    workloads = sorted({name.split(".")[0] for name in base})
+    lines = []
+    for wl in workloads:
+        for m in end_to_end:
+            key = f"{wl}.{m['name']}"
+            if key not in base or key not in change:
+                continue
+            b, c = base[key], change[key]
+            lines.append(
+                f"{key}: base {b['median']:.4g} ({b['q1']:.4g}-{b['q3']:.4g}),"
+                f" change {c['median']:.4g}, won {won.get(key, 0)}/{pairs}: "
+                + verdict(b, c, won.get(key, 0), pairs, m["better"],
+                          m["bound"]))
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
@@ -93,14 +140,18 @@ def main() -> int:
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             root, runs = ((args.base, base), (args.change, change))[side]
             runs.append(perf_run(root, seed, args.seconds))
-        rl = [r.get("metrics", {}).get("platform-td3.rl_steps_per_s", {})
-              .get("value") for r in (base[-1], change[-1])]
-        print(f"seed {seed}: platform-td3 rl_steps_per_s base {rl[0]} "
-              f"change {rl[1]}", flush=True)
+        rl = {name: [r.get("metrics", {}).get(name, {}).get("value")
+                     for r in (base[-1], change[-1])]
+              for name in base[-1].get("metrics", {})
+              if name.endswith(".rl_steps_per_s")}
+        print(f"seed {seed}: rl_steps_per_s base/change " + ", ".join(
+            f"{name.split('.')[0]} {b:.1f}/{c:.1f}"
+            for name, (b, c) in sorted(rl.items())
+            if b is not None and c is not None), flush=True)
     with open(os.path.join(args.change, "BENCHMARK.json"),
               encoding="utf-8") as fh:
-        lower = {m["name"] for m in json.load(fh)["end_to_end"]
-                 if m["better"] == "lower"}
+        end_to_end = json.load(fh)["end_to_end"]
+    lower = {m["name"] for m in end_to_end if m["better"] == "lower"}
     better = {}
     for b, c in zip(base, change):
         for name, cm in c.get("metrics", {}).items():
@@ -111,6 +162,7 @@ def main() -> int:
             won = sign * (cm["value"] - bm["value"]) > 0
             better[name] = better.get(name, 0) + int(won)
     wins = {k: f"{v}/{len(seeds)}" for k, v in sorted(better.items())}
+    outs = []
     for runs, root, path in ((base, args.base, args.out_base),
                              (change, args.change, args.out_change)):
         out = summary(runs, wins if runs is change else {}, seeds,
@@ -120,6 +172,12 @@ def main() -> int:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        outs.append(out)
+    print("BLAS threads: base {}, change {}".format(
+        *((o["machine"] or {}).get("blas_threads") for o in outs)))
+    for line in verdicts(outs[0]["metrics"], outs[1]["metrics"], better,
+                         end_to_end, len(seeds)):
+        print(line)
     return 0
 
 

@@ -6,6 +6,8 @@ Subcommands: train, eval, export-latents, gradcheck.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 
 from .errors import ConfigError
@@ -13,6 +15,11 @@ from .harness import (Trainer, build_config, evaluate, gradcheck_suite,
                       parse_config_file)
 from .harness.gradcheck import TOLERANCE
 
+
+# glibc mallopt parameters (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD) and the
+# values main sets: with fixed thresholds a step's freed temporaries stay
+# mapped instead of going back to the OS and faulting in again.
+MALLOC_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
 
 # train flag -> the config key it overrides; build_config parses the value
 TRAIN_FLAGS = {"--env": "env.id", "--n": "env.n", "--algo": "run.algo",
@@ -49,6 +56,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; nothing where libc has no
+    mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in MALLOC_THRESHOLDS:
+        mallopt(param, value)
+
+
 def _cmd_train(args) -> int:
     overrides = {key: getattr(args, key) for key in TRAIN_FLAGS.values()
                  if getattr(args, key) is not None}
@@ -56,6 +76,8 @@ def _cmd_train(args) -> int:
         if args.config:
             raise ConfigError("--config cannot change a resumed run")
         trainer = Trainer.from_checkpoint(args.resume, overrides)
+        # continue next to the checkpoint, wherever the run was started from
+        trainer.out_dir = os.path.dirname(args.resume) or os.curdir
     else:
         file_values = parse_config_file(args.config) if args.config else None
         trainer = Trainer(build_config(file_values, overrides))
@@ -103,6 +125,7 @@ def _cmd_gradcheck(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _set_malloc_thresholds()
     handler = {"train": _cmd_train, "eval": _cmd_eval,
                "export-latents": _cmd_export, "gradcheck": _cmd_gradcheck}
     try:

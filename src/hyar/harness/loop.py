@@ -15,9 +15,12 @@ own parts (ParameterSet/AdamState.slots, AgentNets.slots, ReplayBuffer.slot).
 """
 from __future__ import annotations
 
+import datetime
 import json
 import math
 import os
+import sys
+import time
 from collections import deque
 
 import numpy as np
@@ -154,6 +157,9 @@ class Trainer:
         self.acc = IntervalAccum()
         self.ma_returns: deque = deque(maxlen=100)
         self.ma_success: deque = deque(maxlen=100)
+        self.out_dir = config.out_dir  # where run() writes its files
+        # (clock, env_step) at the last progress line; no output file sees it
+        self.mark = (time.perf_counter(), self.env_step)
         self.metrics: CsvLog | None = None
         self.evallog: CsvLog | None = None
 
@@ -250,6 +256,20 @@ class Trainer:
             self.evallog.row([self.env_step, self.last_eval_return,
                               self.last_eval_success])
         self.acc.reset()
+        self._progress()
+
+    def _progress(self) -> None:
+        """One stderr line: env step of the budget, RL steps/s since the
+        last mark, the ETA at that rate and the last eval success."""
+        now, total = time.perf_counter(), self.cfg.total_env_steps
+        then, step = self.mark
+        rate = (self.env_step - step) / max(now - then, 1e-9)
+        left = max(total - self.env_step, 0) / rate if rate else 0.0
+        eta = datetime.timedelta(seconds=round(left))
+        print(f"progress: step {self.env_step}/{total}, {rate:.1f} RL steps/s,"
+              f" eta {eta}, eval success {self.last_eval_success:.3f}",
+              file=sys.stderr, flush=True)
+        self.mark = (now, self.env_step)
 
     def _training_episode(self) -> None:
         cfg = self.cfg
@@ -286,25 +306,26 @@ class Trainer:
 
     def run(self) -> dict:
         cfg = self.cfg
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(self.out_dir, exist_ok=True)
         resume = self.warmed_up
-        self.metrics = CsvLog(os.path.join(cfg.out_dir, "metrics.csv"),
+        self.metrics = CsvLog(os.path.join(self.out_dir, "metrics.csv"),
                               METRICS_HEADER, resume=resume,
                               upto=self.last_eval_step)
-        self.evallog = CsvLog(os.path.join(cfg.out_dir, "eval.csv"),
+        self.evallog = CsvLog(os.path.join(self.out_dir, "eval.csv"),
                               EVAL_HEADER, resume=resume,
                               upto=self.last_eval_step)
         try:
             if not self.warmed_up:
                 self.warmup_stage()
+            self.mark = (time.perf_counter(), self.env_step)
             while self.env_step < cfg.total_env_steps:
                 self._training_episode()
         finally:
             self.metrics.close()
             self.evallog.close()
-        ckpt = os.path.join(cfg.out_dir, "final.ckpt")
+        ckpt = os.path.join(self.out_dir, "final.ckpt")
         self.save_checkpoint(ckpt)
-        sha = write_manifest(os.path.join(cfg.out_dir, "run-manifest.txt"),
+        sha = write_manifest(os.path.join(self.out_dir, "run-manifest.txt"),
                              cfg, "final.ckpt", ckpt)
         return {"env_step": self.env_step, "episodes": self.episode,
                 "mean_return": self.last_eval_return,

@@ -6,7 +6,8 @@ import pytest
 
 from hyar import numkit as nk
 from hyar.envs import EnvSpec
-from hyar.representation import LatentBounds, ReprModel, percentile_pair
+from hyar.representation import (ROW_COLLISION_DIST, LatentBounds, ReprModel,
+                                 percentile_pair)
 
 from _synth import SyntheticLinear, synth_spec
 
@@ -68,6 +69,42 @@ def test_nn_decode_matches_exhaustive_scan() -> None:
                 best_d = d
                 best_k = k
         assert batch_ans[i] == best_k
+
+
+def _scan64(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Nearest row by explicit float64 differences, 1000 queries at a time."""
+    t = table.astype(np.float64)
+    return np.concatenate([
+        np.argmin(((t[None] - q[:, None]) ** 2).sum(axis=2), axis=1)
+        for q in np.array_split(queries.astype(np.float64),
+                                max(1, len(queries) // 1000))])
+
+
+def test_nn_decode_resolves_the_repair_spacing_at_k256() -> None:
+    """Two rows 1.5 x ROW_COLLISION_DIST apart, which repair_rows accepts:
+    every row, points either side of their midpoint and random float32 and
+    float64 queries decode as an exhaustive float64 scan does, in a batch
+    and one at a time."""
+    K = 256
+    spec = EnvSpec(env_id="t", state_dim=4, num_discrete=K,
+                   param_dims=(2,) * K, horizon=10)
+    m = ReprModel(spec, d1=6, d2=6, rng=np.random.default_rng(5))
+    u = np.random.default_rng(6).normal(size=6)
+    m.params["table"][1] = m.table[0] + 1.5 * ROW_COLLISION_DIST * u \
+        / np.linalg.norm(u)
+    assert m.repair_rows(np.random.default_rng(7)) == 0
+    a, b = m.table[0].astype(np.float64), m.table[1].astype(np.float64)
+    mid = np.stack([(a + b) / 2 + f * (b - a) for f in (-0.25, 0.25)])
+    assert m.nn_decode_batch(mid).tolist() == [0, 1]
+    assert m.nn_decode_batch(m.table).tolist() == list(range(K))
+    rng = np.random.default_rng(8)
+    random64 = rng.uniform(-1.5, 1.5, size=(10_000, 6))
+    random32 = rng.uniform(-1.5, 1.5, size=(10_000, 6)).astype(np.float32)
+    for queries in (random64, random32, mid, m.table):
+        batch = m.nn_decode_batch(queries)
+        assert np.array_equal(batch, _scan64(m.table, queries))
+        assert [m.nn_decode_batch(q[None])[0] for q in queries] \
+            == batch.tolist()
 
 
 def test_repair_rows_restores_distinctness() -> None:
