@@ -7,14 +7,19 @@ directory, then trains five tiny configurations once with each side's src/
 on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
 written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
-byte and prints one line.  Then it trains platform-td3 again on each side,
-resumes that run from its own final.ckpt to RESUME_STEPS
+byte and prints one line.  When the final.ckpt bytes differ, the line also
+says whether the decoded states are identical: each side loads its own
+file with its own src/ in a subprocess and digests every entry as float64,
+as perfbench's state_digest does (the config entry included, since both
+sides write the same --out path).  Then it trains platform-td3 again on
+each side, resumes that run from its own final.ckpt to RESUME_STEPS
 (`train --resume OUT/final.ckpt --steps RESUME_STEPS`, which continues in
 OUT) and compares the four files once more.  Last it prints the src/ line
 count of REV and of the working tree, counted as
 `find src -name '*.py' | xargs cat | wc -l` counts them.  Exit status 0
 means every file of every configuration is identical; 1 means something
-differs or a run failed.  Each run takes a few seconds on one core.
+differs or a run failed, whether or not the decoded states match.  Each
+run takes a few seconds on one core.
 """
 from __future__ import annotations
 
@@ -41,6 +46,17 @@ CONFIGS = {
                        "run.algo": "hyar-td3"},
 }
 RESUMED, RESUME_STEPS = "platform-td3", 1200
+DIGEST = """
+import hashlib, sys
+import numpy as np
+from hyar import numkit as nk
+entries, h = nk.load_checkpoint(sys.argv[1]), hashlib.sha256()
+for name in sorted(entries):
+    a = np.ascontiguousarray(entries[name], dtype="<f8")
+    h.update(f"{name} {a.shape}\\n".encode())
+    h.update(a.tobytes())
+print(h.hexdigest())
+"""
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -60,7 +76,8 @@ def src_lines(src: str) -> int:
 def train(src: str, keys: dict, out: str, cfg_path: str,
           resume_steps: int | None = None) -> dict:
     """Train one run into out, then resume it to resume_steps if given;
-    return {file name: bytes} (None if missing or if a leg failed)."""
+    return {file name: bytes} plus "state", the digest of final.ckpt's
+    decoded entries (None if missing or if a leg failed)."""
     shutil.rmtree(out, ignore_errors=True)
     with open(cfg_path, "w", encoding="utf-8") as fh:
         for key, val in {**SHARED, **keys, "run.out_dir": out}.items():
@@ -76,10 +93,15 @@ def train(src: str, keys: dict, out: str, cfg_path: str,
                              text=True, timeout=600)
         if res.returncode != 0:
             sys.stderr.write(res.stderr)
-            return dict.fromkeys(FILES)
+            return dict.fromkeys(FILES + ("state",))
     paths = {name: Path(out, name) for name in FILES}
-    return {name: p.read_bytes() if p.exists() else None
-            for name, p in paths.items()}
+    got = {name: p.read_bytes() if p.exists() else None
+           for name, p in paths.items()}
+    res = subprocess.run([sys.executable, "-c", DIGEST,
+                          str(paths["final.ckpt"])], env=env,
+                         capture_output=True, text=True, timeout=600)
+    got["state"] = res.stdout if res.returncode == 0 else None
+    return got
 
 
 def main(argv: list[str]) -> int:
@@ -98,8 +120,12 @@ def main(argv: list[str]) -> int:
             new = train(new_src, keys, out, cfg, steps)
             bad = [f for f in FILES if old[f] is None or old[f] != new[f]]
             ok = ok and not bad
-            print(f"{name}: " + ("identical" if not bad else
-                                 "DIFFERS in " + ", ".join(bad)), flush=True)
+            line = "identical" if not bad else "DIFFERS in " + ", ".join(bad)
+            if "final.ckpt" in bad:
+                same = old["state"] is not None and old["state"] == new["state"]
+                line += "; decoded state " + ("identical" if same
+                                              else "DIFFERS")
+            print(f"{name}: {line}", flush=True)
         print(f"{rev} vs working tree: "
               + ("all identical" if ok else "NOT identical"))
         print(f"src/ lines: {rev} {src_lines(old_src)}, "

@@ -45,15 +45,15 @@ def derive_seed(*parts) -> int:
 
 
 def _utf8_array(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
 def _utf8_str(entries: dict, name: str) -> str:
     arr = nk.entry(entries, name, (None,))
-    if not np.all((arr == np.rint(arr)) & (arr >= 0) & (arr < 256)):
-        raise nk.CheckpointError(f"{name}: not all byte values in [0, 256)")
+    if arr.dtype != np.uint8:
+        raise nk.CheckpointError(f"{name}: stored as {arr.dtype}, not bytes")
     try:
-        return bytes(arr.astype(np.uint8)).decode("utf-8")
+        return bytes(arr).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise nk.CheckpointError(f"{name}: not UTF-8 text") from exc
 

@@ -1,23 +1,16 @@
-"""HYAR-CKPT-2 checkpoint container.
+"""HYAR-CKPT-3 checkpoint container.
 
-Layout: a UTF-8 text manifest followed by one binary blob.
-
-    HYAR-CKPT-2
-    entries <N>
-    <name> <shape> <byte_offset> <count> <dtype>   (N lines; shape "2x3",
-                                                    0-d "0d"; dtype f4|f8)
-    blob <total_bytes>
-    <raw little-endian data, each entry in its own dtype>
-
-Each entry is written once, in the dtype it lives in: float32 arrays (model
-parameters, Adam moments, buffer columns, bounds) as f4, everything else as
-f8, and each loads back in that dtype.  Integer and RNG state words are
-stored as float64 values by the caller.  Names are whitespace-free.  Other
-formats, HYAR-CKPT-1 included, are refused.  Loading a malformed file raises
-CheckpointError (an OSError, so it maps to the I/O exit code); so do the
-readers restorers use on a loaded dict (entry, finite_entry, restore,
-as_int) when an entry is missing, has the wrong shape, is not finite where
-training keeps it finite, or is not a count in range.
+A file is the magic line, one line of JSON listing [name, dtype, shape] for
+each entry in save order, then the entries' raw little-endian bytes packed
+in that order, so no offset is stored.  dtype is "<f4" for float32 arrays,
+"|u1" for uint8 ones (UTF-8 text) and "<f8" for anything else; each entry
+loads back in its own dtype.  A save writes path + ".tmp", then renames it
+over path.  Nothing checks the packed bytes.  Other formats (HYAR-CKPT-2
+included) and malformed files raise CheckpointError, an OSError, so it maps
+to the I/O exit code; so do the readers restorers use on a loaded dict
+(entry, finite_entry, restore, as_int) when an entry is missing, has the
+wrong shape, is not finite where training keeps it finite, or is not a
+count in range.
 
 A Slot names one piece of run state once and carries both directions:
 save() gives its entries, load() restores them.  A list of slots is a
@@ -26,120 +19,81 @@ checkpoint's whole layout; gather() turns it into the entries to save.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-MAGIC = "HYAR-CKPT-2"
-_DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
+MAGIC = "HYAR-CKPT-3"
+_CODES = ("<f4", "<f8", "|u1")  # the entry dtypes, as numpy spells them
 
 
 class CheckpointError(OSError):
     """Checkpoint file is missing, truncated, or malformed."""
 
 
-def _shape_str(shape: tuple) -> str:
-    return "0d" if shape == () else "x".join(str(d) for d in shape)
-
-
-def _field(text: str, what: str) -> int:
-    """A non-negative integer manifest field."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise CheckpointError(f"bad {what} field {text!r}") from exc
-    if value < 0:
-        raise CheckpointError(f"negative {what} field {text!r}")
-    return value
-
-
-def _parse_shape(text: str) -> tuple:
-    if text == "0d":
-        return ()
-    return tuple(_field(d, "shape") for d in text.split("x"))
-
-
 def save_checkpoint(path: str, entries: dict) -> None:
-    """Write entries (name -> array) in manifest + blob form: float32
-    arrays as f4, anything else converted to f8."""
-    names = list(entries)
+    """Write entries (name -> array) as magic line, layout line and blob:
+    float32 and uint8 arrays keep their dtype, anything else becomes f8.
+    The file goes to path + ".tmp" first and then replaces path."""
     arrays = []
-    lines = [MAGIC, f"entries {len(names)}"]
-    offset = 0
-    for name in names:
-        if any(ch.isspace() for ch in name):
-            raise CheckpointError(f"entry name contains whitespace: {name!r}")
-        a = np.asarray(entries[name])
-        code = "f4" if a.dtype == np.float32 else "f8"
-        a = np.asarray(a, dtype=_DTYPES[code])
-        if a.ndim and not a.flags.c_contiguous:
-            a = np.ascontiguousarray(a)
-        arrays.append(a)
-        lines.append(f"{name} {_shape_str(a.shape)} {offset} {a.size} {code}")
-        offset += a.nbytes
-    lines.append(f"blob {offset}")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for a in arrays:
-            fh.write(a.data)  # the array's own buffer, no bytes copy
+    for value in entries.values():
+        a = np.asarray(value)
+        arrays.append(a if a.dtype.str in _CODES else a.astype("<f8"))
+    layout = json.dumps([[name, a.dtype.str, list(a.shape)]
+                         for name, a in zip(entries, arrays)],
+                        separators=(",", ":"))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(f"{MAGIC}\n{layout}\n".encode("utf-8"))
+            for a in arrays:  # the array's own buffer where it can
+                fh.write(a.data if a.flags.c_contiguous else a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> dict:
     """Read a checkpoint back into a name -> array dict, each array in the
-    dtype its entry was stored in (float32 for f4, float64 for f8)."""
+    dtype its entry was stored in (float32, float64 or uint8)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-
-    def next_line(pos: int) -> tuple[str, int]:
-        end = raw.find(b"\n", pos)
-        if end < 0:
-            raise CheckpointError("truncated manifest")
-        try:
-            return raw[pos:end].decode("utf-8"), end + 1
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"manifest is not UTF-8: {exc}") from exc
-
-    line, pos = next_line(0)
-    if line != MAGIC:
-        raise CheckpointError(f"bad magic {line!r}")
-    line, pos = next_line(pos)
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "entries":
-        raise CheckpointError(f"bad entries line {line!r}")
-    n = _field(parts[1], "entries")
-    specs = []
-    for _ in range(n):
-        line, pos = next_line(pos)
-        parts = line.split()
-        if len(parts) != 5:
-            raise CheckpointError(f"bad entry line {line!r}")
-        name, shape_s, off_s, count_s, code = parts
-        if code not in _DTYPES:
-            raise CheckpointError(f"{name}: unknown dtype {code!r}")
-        specs.append((name, _parse_shape(shape_s), _field(off_s, "offset"),
-                      _field(count_s, "count"), _DTYPES[code]))
-    line, pos = next_line(pos)
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "blob":
-        raise CheckpointError(f"bad blob line {line!r}")
-    total = _field(parts[1], "blob")
-    blob = memoryview(raw)[pos:pos + total]  # no copy: entries copy out
-    if len(blob) != total:
-        raise CheckpointError(
-            f"blob truncated: expected {total} bytes, got {len(blob)}")
-    out = {}
-    for name, shape, off, count, dtype in specs:
-        expect = math.prod(shape)  # exact: np.prod wraps at 2**63
-        if count != expect:
-            raise CheckpointError(f"{name}: count {count} vs shape {shape}")
-        if off + count * dtype.itemsize > total:
-            raise CheckpointError(f"{name}: entry extends past blob end")
+    head = MAGIC.encode("ascii") + b"\n"
+    if not raw.startswith(head):
+        tag = raw[:64].split(b"\n")[0]
+        raise CheckpointError(f"bad magic {tag!r}")
+    end = raw.find(b"\n", len(head))
+    try:
+        layout = json.loads(raw[len(head):end]) if end >= 0 else None
+    except (ValueError, RecursionError) as exc:  # too deeply nested
+        raise CheckpointError(f"layout is not JSON: {exc}") from exc
+    if not isinstance(layout, list):
+        raise CheckpointError("no layout line holding a list")
+    blob = memoryview(raw)[end + 1:]  # no copy: entries copy out
+    out, off = {}, 0
+    for row in layout:
+        if not (isinstance(row, list) and len(row) == 3
+                and isinstance(row[0], str) and row[1] in _CODES
+                and isinstance(row[2], list)  # of ints >= 0, bools refused
+                and all(type(d) is int and d >= 0 for d in row[2])):
+            raise CheckpointError(f"bad layout row {row!r}")
+        name, code, shape = row
+        dtype = np.dtype(code)
+        count = math.prod(shape)  # exact: np.prod wraps at 2**63
+        if off + count * dtype.itemsize > len(blob):
+            raise CheckpointError(f"{name}: entry runs past the blob end")
         a = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
         out[name] = a.astype(dtype.type).reshape(shape)
+        off += count * dtype.itemsize
+    if off != len(blob):
+        raise CheckpointError(f"blob holds {len(blob)} bytes, layout {off}")
     return out
 
 

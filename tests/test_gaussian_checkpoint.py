@@ -1,12 +1,15 @@
 """KL/reparam math against Monte Carlo oracles; checkpoint format round-trips."""
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 
 import numpy as np
 import pytest
 
 from hyar import numkit as nk
+from hyar.numkit import checkpoint as ckpt_module
 
 
 def mc_kl_oracle(mu: np.ndarray, log_std: np.ndarray, n: int,
@@ -82,16 +85,18 @@ def test_checkpoint_roundtrip_exact(tmp_path) -> None:
 
 
 def test_checkpoint_manifest_is_text(tmp_path) -> None:
+    """The manifest is the magic line and one JSON layout line; the blob
+    packs the entries in layout order with no offsets stored."""
     path = str(tmp_path / "ck.hyar")
     nk.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3),
-                              "h": np.arange(3, dtype=np.float32)})
+                              "h": np.arange(3, dtype=np.float32),
+                              "t": np.frombuffer(b"hi", np.uint8)})
     raw = open(path, "rb").read()
-    header = raw.split(b"\n")
-    assert header[0] == b"HYAR-CKPT-2"
-    assert header[1] == b"entries 2"
-    assert header[2] == b"w 2x3 0 6 f8"
-    assert header[3] == b"h 3 48 3 f4"
-    assert header[4] == b"blob 60"
+    magic, layout, blob = raw.split(b"\n", 2)
+    assert magic == b"HYAR-CKPT-3"
+    assert layout == b'[["w","<f8",[2,3]],["h","<f4",[3]],["t","|u1",[2]]]'
+    assert blob == (np.arange(6.0).tobytes()
+                    + np.arange(3, dtype="<f4").tobytes() + b"hi")
 
 
 def test_checkpoint_float32_entries_stored_as_f4_byte_exact(tmp_path) -> None:
@@ -99,42 +104,120 @@ def test_checkpoint_float32_entries_stored_as_f4_byte_exact(tmp_path) -> None:
     entries = {"w32": rng.normal(size=(5, 3)).astype(np.float32),
                "v64": rng.normal(size=4),
                "t": np.float64(7.0),
-               "b32": rng.normal(size=3).astype(np.float32)}
+               "b32": rng.normal(size=3).astype(np.float32),
+               "u8": np.arange(5, dtype=np.uint8),
+               "i64": np.arange(2)}
     path = str(tmp_path / "mixed.hyar")
     nk.save_checkpoint(path, entries)
-    lines = open(path, "rb").read().split(b"\n")[2:6]
-    assert [ln.split()[-1] for ln in lines] == [b"f4", b"f8", b"f8", b"f4"]
+    _magic, layout, blob = open(path, "rb").read().split(b"\n", 2)
+    assert [code for _name, code, _shape in json.loads(layout)] == [
+        "<f4", "<f8", "<f8", "<f4", "|u1", "<f8"]
     back = nk.load_checkpoint(path)
     for name, v in entries.items():
+        if name == "i64":  # anything but f4 and u1 is stored as f8
+            assert back[name].dtype == np.float64
+            assert np.array_equal(back[name], v)
+            continue
         assert back[name].dtype == np.asarray(v).dtype
         assert back[name].tobytes() == np.asarray(v).tobytes()
-    # offsets count 4 bytes per f4 value: 15 * 4 + 5 * 8 = 100
-    assert lines[-1] == b"b32 3 100 3 f4"
+    # packing counts 4 bytes per f4 value: 15 * 4 + 4 * 8 + 8 = 100
+    assert blob[100:112] == entries["b32"].tobytes()
+    assert len(blob) == 112 + 5 + 2 * 8
+
+
+def _write(path: str, raw: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(raw)
+
+
+def _with_layout(path: str, layout: bytes, blob: bytes) -> None:
+    _write(path, b"HYAR-CKPT-3\n" + layout + b"\n" + blob)
+
+
+@pytest.mark.parametrize("layout, blob", [
+    (b'[["w","<f8",[2]]', bytes(16)),              # not JSON
+    (b"[" * 100000, bytes(16)),                     # nested past the stack
+    (b'{"w": ["<f8", [2]]}', bytes(16)),            # not a list
+    (b'[["w","<f8"]]', bytes(16)),                  # row not a triple
+    (b'[["w","<f8",[2],0]]', bytes(16)),            # row not a triple
+    (b'[[7,"<f8",[2]]]', bytes(16)),                # name not a string
+    (b'[["w",["<f8"],[2]]]', bytes(16)),            # dtype not a string
+    (b'[["w","f8",[2]]]', bytes(16)),               # unknown dtype
+    (b'[["w","<i8",[2]]]', bytes(16)),              # unknown dtype
+    (b'[["w","<f8",2]]', bytes(16)),                # shape not a list
+    (b'[["w","<f8",[2.0]]]', bytes(16)),            # dim not an int
+    (b'[["w","<f8",[true,2]]]', bytes(16)),         # bool dim
+    (b'[["w","<f8",[-2]]]', bytes(16)),             # negative dim
+    (b'[["w","<f8",[-1,-2]]]', bytes(16)),          # 2 values, negative dims
+    (b'[["w","<f8",[3]]]', bytes(16)),              # entry past the blob
+    (b'[["w","<f8",[2]]]', bytes(17)),              # blob longer than layout
+    # a shape whose int64 product wraps to 0
+    (b'[["w","<f8",[4611686018427387904,4]]]', b""),
+])
+def test_checkpoint_bad_layout_raises(tmp_path, layout, blob) -> None:
+    path = str(tmp_path / "bad.hyar")
+    _with_layout(path, layout, blob)
+    with pytest.raises(nk.CheckpointError):
+        nk.load_checkpoint(path)
 
 
 def test_checkpoint_malformed_raises(tmp_path) -> None:
     path = str(tmp_path / "bad.hyar")
-    with open(path, "wb") as fh:
-        fh.write(b"NOT-A-CKPT\n")
+    _write(path, b"NOT-A-CKPT\n")
+    with pytest.raises(nk.CheckpointError):
+        nk.load_checkpoint(path)
+    # the older format is refused by its tag, and the error names it
+    _write(path, b"HYAR-CKPT-2\nentries 1\nw 2 0 2 f8\nblob 16\n" + bytes(16))
+    with pytest.raises(nk.CheckpointError, match="HYAR-CKPT-2"):
+        nk.load_checkpoint(path)
+    # no layout line
+    _write(path, b"HYAR-CKPT-3\n[]")
     with pytest.raises(nk.CheckpointError):
         nk.load_checkpoint(path)
     # truncated blob
     nk.save_checkpoint(path, {"w": np.ones(10)})
     raw = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(raw[:-8])
+    _write(path, raw[:-8])
     with pytest.raises(nk.CheckpointError):
         nk.load_checkpoint(path)
     with pytest.raises(nk.CheckpointError):
         nk.load_checkpoint(str(tmp_path / "missing.hyar"))
-    # a shape whose int64 product wraps to the stored count of 0
-    nk.save_checkpoint(path, {"w": np.zeros(0)})
-    raw = open(path, "rb").read().replace(b"w 0 0 0 f8",
-                                          b"w 4611686018427387904x4 0 0 f8")
-    with open(path, "wb") as fh:
-        fh.write(raw)
-    with pytest.raises(nk.CheckpointError):
-        nk.load_checkpoint(path)
+    # an empty layout over an empty blob is a valid, empty checkpoint
+    _with_layout(path, b"[]", b"")
+    assert nk.load_checkpoint(path) == {}
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    """A save that raises part way leaves the file it would replace
+    byte-identical and no temporary file behind."""
+    path = str(tmp_path / "final.ckpt")
+    nk.save_checkpoint(path, {"w": np.arange(1000.0)})
+    before = open(path, "rb").read()
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(ckpt_module, "open",
+                        lambda *a, **k: FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        nk.save_checkpoint(path, {"w": np.zeros(2000), "v": np.ones(3)})
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["final.ckpt"]
 
 
 def test_git_blob_sha1_matches_git(tmp_path) -> None:

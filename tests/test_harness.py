@@ -315,7 +315,7 @@ def test_manifest_lists_every_key_and_hash() -> None:
         assert f"{key} = " in text
     sha = nk.git_blob_sha1(os.path.join(out, "final.ckpt"))
     assert f"checkpoint_sha1 = {sha}" in text
-    assert "checkpoint_format = HYAR-CKPT-2\n" in text
+    assert "checkpoint_format = HYAR-CKPT-3\n" in text
     assert "numeric_policy = float32\n" in text
     assert summary["checkpoint_sha1"] == sha
 
@@ -561,34 +561,48 @@ def _entries_edit(edit):
     return apply
 
 
-def _manifest_edit(line: int, field: int, text: str):
-    """Corrupt one whitespace-separated field of one manifest line."""
+def _layout_edit(edit):
+    """Corrupt a checkpoint by replacing its JSON layout line with
+    edit(line); the magic line and the blob stay."""
     def apply(src: str, dst: str) -> None:
         with open(src, "rb") as fh:
-            raw = fh.read()
-        end = raw.index(b"\n", raw.index(b"\nblob ") + 1) + 1
-        lines = raw[:end].decode("utf-8").splitlines()
-        parts = lines[line].split()
-        parts[field] = text
-        lines[line] = " ".join(parts)
+            magic, layout, blob = fh.read().split(b"\n", 2)
         with open(dst, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8") + raw[end:])
+            fh.write(b"\n".join([magic, edit(layout), blob]))
     return apply
 
 
-def _as_ckpt1(src: str, dst: str) -> None:
-    """Rewrite a checkpoint in the older HYAR-CKPT-1 layout: no dtype
-    field, every value float64."""
-    entries = nk.load_checkpoint(src)
-    lines, blob = ["HYAR-CKPT-1", f"entries {len(entries)}"], b""
-    for name, v in entries.items():
-        a = np.asarray(v, dtype="<f8")
-        shape = "x".join(map(str, a.shape)) or "0d"
-        lines.append(f"{name} {shape} {len(blob)} {a.size}")
-        blob += a.tobytes()
-    lines.append(f"blob {len(blob)}")
-    with open(dst, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8") + blob)
+def _rows_edit(edit):
+    """_layout_edit on the parsed layout: its rows become edit(rows)."""
+    return _layout_edit(
+        lambda line: json.dumps(edit(json.loads(line))).encode("utf-8"))
+
+
+def _first_row(field: int, value):
+    """Set one field (0 name, 1 dtype, 2 shape) of the first layout row."""
+    def edit(rows: list) -> list:
+        rows[0][field] = value
+        return rows
+    return _rows_edit(edit)
+
+
+def _as_text_manifest(tag: str):
+    """Rewrite a checkpoint in an older text-manifest layout: HYAR-CKPT-2
+    lists each entry with its f4/f8 dtype, HYAR-CKPT-1 with none, every
+    value float64."""
+    def apply(src: str, dst: str) -> None:
+        entries = nk.load_checkpoint(src)
+        lines, blob = [tag, f"entries {len(entries)}"], b""
+        for name, v in entries.items():
+            a = np.asarray(v, dtype="<f8")
+            shape = "x".join(map(str, a.shape)) or "0d"
+            dtype = " f8" if tag == "HYAR-CKPT-2" else ""
+            lines.append(f"{name} {shape} {len(blob)} {a.size}{dtype}")
+            blob += a.tobytes()
+        lines.append(f"blob {len(blob)}")
+        with open(dst, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8") + blob)
+    return apply
 
 
 def _poke(name: str, value: float):
@@ -601,9 +615,9 @@ def _poke(name: str, value: float):
 
 def _rng_word(d: dict) -> np.ndarray:
     """The stream generator's state text with an out-of-range state word."""
-    state = json.loads(bytes(d["rng.stream"].astype(np.uint8)).decode())
+    state = json.loads(bytes(d["rng.stream"]).decode())
     state["has_uint32"] = 10**30
-    return np.frombuffer(json.dumps(state).encode(), np.uint8).astype(float)
+    return np.frombuffer(json.dumps(state).encode(), np.uint8)
 
 
 def _set(name: str, value):
@@ -613,7 +627,6 @@ def _set(name: str, value):
 
 
 CAPACITY = RunConfig().agent_config().buffer_capacity
-FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -621,14 +634,23 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_set("actor.W0", np.zeros((3, 3))), id="wrong-shape"),
     pytest.param(_set("actor.W0", lambda d: d["actor.W0"][:1]),
                  id="broadcastable-shape"),
-    pytest.param(_manifest_edit(1, 1, "x"), id="entries-count-not-int"),
-    pytest.param(_manifest_edit(FIRST_ENTRY, 2, "0.5"), id="offset-not-int"),
-    pytest.param(_manifest_edit(FIRST_ENTRY, 3, "18.0"), id="count-not-int"),
-    pytest.param(_manifest_edit(BLOB_LINE, 1, "1e6"), id="blob-not-int"),
-    pytest.param(_manifest_edit(FIRST_ENTRY, 2, "-8"), id="negative-offset"),
-    pytest.param(_manifest_edit(FIRST_ENTRY, 3, "-1"), id="negative-count"),
-    pytest.param(_manifest_edit(FIRST_ENTRY, 4, "f2"), id="unknown-dtype"),
-    pytest.param(_as_ckpt1, id="ckpt1-format"),
+    pytest.param(_layout_edit(lambda line: line[:-1]), id="layout-not-json"),
+    pytest.param(_rows_edit(lambda rows: {r[0]: r[1:] for r in rows}),
+                 id="layout-not-a-list"),
+    pytest.param(_rows_edit(lambda rows: [rows[0][:2]] + rows[1:]),
+                 id="row-not-triple"),
+    # the first entry is repr.table, shape [3, 6]: each bad shape below
+    # still has 18 values, so only the dim check refuses it
+    pytest.param(_first_row(2, [3, 6.0]), id="dim-integral-float"),
+    pytest.param(_first_row(2, [True, 18]), id="dim-bool"),
+    pytest.param(_first_row(2, [-3, -6]), id="negative-dim"),
+    pytest.param(_first_row(2, [3, 6.5]), id="dim-not-int"),
+    pytest.param(_first_row(1, "<f2"), id="unknown-dtype"),
+    pytest.param(_rows_edit(lambda rows: rows + [["extra", "<f8", [1]]]),
+                 id="entry-past-blob"),
+    pytest.param(_rows_edit(lambda rows: rows[:-1]),
+                 id="blob-longer-than-layout"),
+    pytest.param(_as_text_manifest("HYAR-CKPT-1"), id="ckpt1-format"),
     pytest.param(_set("buffer.cursor", np.float64(CAPACITY)), id="cursor-at-capacity"),
     pytest.param(_set("buffer.cursor", np.float64(-1.0)), id="cursor-negative"),
     pytest.param(_set("buffer.cursor", np.float64(2.5)), id="cursor-not-int"),
@@ -653,9 +675,12 @@ FIRST_ENTRY, BLOB_LINE = 2, -1  # manifest line indices
     pytest.param(_poke("actor.W0", np.nan), id="actor-weight-nan"),
     pytest.param(_poke("opt_actor.m", np.inf), id="opt-moment-inf"),
     pytest.param(_poke("buffer.s", np.nan), id="buffer-s-nan"),
-    # a valid byte plus 256: wrapping it would read back the same text
-    pytest.param(_poke("config", 357.0), id="config-byte-past-255"),
-    pytest.param(_poke("rng.stream", 379.0), id="rng-byte-past-255"),
+    # text is bytes: the same text stored as f8 values is refused
+    pytest.param(_set("config", lambda d: d["config"].astype(np.float64)),
+                 id="config-stored-as-f8"),
+    pytest.param(_set("rng.stream",
+                      lambda d: d["rng.stream"].astype(np.float64)),
+                 id="rng-stored-as-f8"),
     pytest.param(_set("rng.stream", _rng_word), id="rng-word-overflow"),
 ])
 def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
@@ -669,24 +694,38 @@ def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> Non
     assert "io error" in capsys.readouterr().err
 
 
+def test_cli_eval_ckpt2_file_exits_4_naming_its_tag(tmp_path, capsys) -> None:
+    _tr, out, _summary = tiny_run()
+    old = str(tmp_path / "old.ckpt")
+    _as_text_manifest("HYAR-CKPT-2")(os.path.join(out, "final.ckpt"), old)
+    assert cli_main(["eval", "--ckpt", old, "--episodes", "1",
+                     "--seed", "0"]) == 4
+    assert "HYAR-CKPT-2" in capsys.readouterr().err
+
+
 def _tiny_ckpt() -> tuple[bytes, int]:
-    """The tiny run's final checkpoint and the length of its manifest."""
+    """The tiny run's final checkpoint and the length of its manifest (the
+    magic line and the layout line)."""
     _tr, out, _summary = tiny_run()
     with open(os.path.join(out, "final.ckpt"), "rb") as fh:
         raw = fh.read()
-    return raw, raw.index(b"\n", raw.index(b"\nblob ") + 1) + 1
+    return raw, raw.index(b"\n", raw.index(b"\n") + 1) + 1
 
 
-def _loads_or_raises_checkpoint_error(raw: bytes) -> None:
-    """Load raw as a checkpoint file; any exception but CheckpointError
-    fails the test."""
-    path = os.path.join(tiny_run()[1], "fuzz.ckpt")
+def _loads_same_state_or_raises(edited: bytes, raw: bytes) -> None:
+    """Resume from edited as a checkpoint file: it must raise
+    CheckpointError or give back the state saved as raw, byte for byte;
+    any other exception fails the test."""
+    out = tiny_run()[1]
+    path, again = (os.path.join(out, n) for n in ("fuzz.ckpt", "again.ckpt"))
     with open(path, "wb") as fh:
-        fh.write(raw)
+        fh.write(edited)
     try:
-        nk.load_checkpoint(path)
+        Trainer.from_checkpoint(path).save_checkpoint(again)
     except nk.CheckpointError:
-        pass
+        return
+    with open(again, "rb") as fh:
+        assert fh.read() == raw
 
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
@@ -698,21 +737,38 @@ FUZZ = settings(derandomize=True, max_examples=150, deadline=None,
 def test_truncated_checkpoint_loads_or_raises_checkpoint_error(data) -> None:
     raw, head = _tiny_ckpt()
     cut = data.draw(st.one_of(st.integers(0, head), st.integers(0, len(raw))))
-    _loads_or_raises_checkpoint_error(raw[:cut])
+    _loads_same_state_or_raises(raw[:cut], raw)
+
+
+JSON_VALUES = st.one_of(
+    st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["<f4", "<f8", "|u1", "config", "rng.stream", "actor.W0"]),
+    st.lists(st.one_of(st.integers(-2, 300), st.floats(0, 300),
+                       st.booleans()), max_size=3))
 
 
 @FUZZ
 @given(data=st.data())
 def test_edited_manifest_field_loads_or_raises_checkpoint_error(data) -> None:
+    """One manifest line edited: the magic line replaced, a span of the
+    layout's text replaced, or one field of one layout row set to any JSON
+    value."""
     raw, head = _tiny_ckpt()
-    lines = raw[:head].decode("utf-8").splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1))
-    parts = lines[i].split()
-    text = data.draw(st.one_of(st.text(), st.integers().map(str)))
-    parts[data.draw(st.integers(0, len(parts) - 1))] = text
-    lines[i] = " ".join(parts)
-    _loads_or_raises_checkpoint_error(
-        ("\n".join(lines) + "\n").encode("utf-8") + raw[head:])
+    magic, layout = raw[:head].decode("utf-8").splitlines()
+    kind = data.draw(st.sampled_from(["magic", "text", "row"]))
+    if kind == "magic":
+        magic = data.draw(st.text())
+    elif kind == "text":
+        i = data.draw(st.integers(0, len(layout)))
+        j = data.draw(st.integers(i, min(len(layout), i + 8)))
+        layout = layout[:i] + data.draw(st.text(max_size=8)) + layout[j:]
+    else:
+        rows = json.loads(layout)
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(0, 2))] = data.draw(JSON_VALUES)
+        layout = json.dumps(rows)
+    _loads_same_state_or_raises(
+        f"{magic}\n{layout}\n".encode("utf-8") + raw[head:], raw)
 
 
 # Training keeps these finite; only state.* (moving_dyn and last_eval_* start
@@ -723,16 +779,18 @@ MAY_HOLD_NONFINITE = ("state.", "rng.")
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_edited_entry_value_loads_or_raises_checkpoint_error(data) -> None:
-    """One value of any entry but config set to any float: from_checkpoint
-    gives a Trainer or raises CheckpointError, and must raise when the value
-    is non-finite in a parameter, moment, buffer or bounds entry."""
+    """One value of any entry but config set to any float (any byte in the
+    rng.* texts): from_checkpoint gives a Trainer or raises CheckpointError,
+    and must raise when the value is non-finite in a parameter, moment,
+    buffer or bounds entry."""
     _tr, out, _summary = tiny_run()
     entries = nk.load_checkpoint(os.path.join(out, "final.ckpt"))
     name = data.draw(st.sampled_from(sorted(
         n for n, a in entries.items() if n != "config" and a.size)))
     i = data.draw(st.integers(0, entries[name].size - 1))
-    value = data.draw(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
-                                st.floats()))
+    nonfinite = st.sampled_from([np.nan, np.inf, -np.inf])
+    value = data.draw(st.integers(0, 255) if entries[name].dtype == np.uint8
+                      else st.one_of(nonfinite, st.floats()))
     arr = entries[name] = entries[name].copy()
     with np.errstate(over="ignore"):
         arr.flat[i] = value
