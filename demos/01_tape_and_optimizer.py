@@ -23,7 +23,7 @@ def fit_sine():
     for step in range(2001):
         tape = nk.Tape()
         out = nk.mlp_apply(tape, params.grad_vars(), nk.const(xs))
-        loss = tape.msq_to(out, ys)
+        loss = tape.mean(tape.sq_dist(out, ys))  # ys is (256, 1): the MSE
         tape.backward(loss)  # fills params.grad
         nk.adam_step(params, params.grad, opt)
         if step % 400 == 0:
@@ -37,15 +37,15 @@ def gradient_check(params):
     ys = np.sin(3.0 * xs)
 
     tape = nk.Tape()
-    loss = tape.msq_to(
-        nk.mlp_apply(tape, params.grad_vars(), nk.const(xs)), ys)
+    loss = tape.mean(tape.sq_dist(
+        nk.mlp_apply(tape, params.grad_vars(), nk.const(xs)), ys))
     tape.backward(loss)
 
     def loss_fn():
         t = nk.Tape(record=False)
-        return float(t.msq_to(
+        return float(t.mean(t.sq_dist(
             nk.mlp_apply(t, params.frozen_vars(), nk.const(xs)),
-            ys).data)
+            ys)).data)
 
     report = nk.finite_diff_check(loss_fn, params, params.grad,
                                   samples_per_entry=8)

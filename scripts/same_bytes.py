@@ -14,12 +14,20 @@ as perfbench's state_digest does (the config entry included, since both
 sides write the same --out path).  Then it trains platform-td3 again on
 each side, resumes that run from its own final.ckpt to RESUME_STEPS
 (`train --resume OUT/final.ckpt --steps RESUME_STEPS`, which continues in
-OUT) and compares the four files once more.  Last it prints the src/ line
+OUT) and compares the four files once more.  Last it prints the bits
+epoch of each side, read from the `bits_epoch` line of its
+run-manifest.txt (a manifest without one is epoch 0), and the src/ line
 count of REV and of the working tree, counted as
-`find src -name '*.py' | xargs cat | wc -l` counts them.  Exit status 0
-means every file of every configuration is identical; 1 means something
-differs or a run failed, whether or not the decoded states match.  Each
-run takes a few seconds on one core.
+`find src -name '*.py' | xargs cat | wc -l` counts them.
+
+Exit status 1 means a run failed, or some file differs while both sides
+are of the same bits epoch, whether or not the decoded states match: a
+change that alters the bits must bump numkit's BITS_EPOCH.  When the
+epochs differ, every difference is still printed, and the status is 0
+unless a run failed.  Each run takes a few seconds on one core.  Five tiny
+runs can miss a divergence that shows only in long runs: the float64 GEMM
+nearest-row decoding printed identical here, yet 200k-step platform runs
+of seeds 1 and 2 left their earlier bits at their 50k and 20k evals.
 """
 from __future__ import annotations
 
@@ -104,9 +112,21 @@ def train(src: str, keys: dict, out: str, cfg_path: str,
     return got
 
 
+def bits_epoch(manifest: bytes | None) -> int | None:
+    """The bits_epoch of a run-manifest.txt: 0 if it has no such line, None
+    if there is no manifest."""
+    if manifest is None:
+        return None
+    for line in manifest.decode("utf-8").splitlines():
+        key, _, val = line.partition(" = ")
+        if key == "bits_epoch":
+            return int(val)
+    return 0
+
+
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
-    ok = True
+    identical, failed = True, False
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         old_src = extract_src(rev, os.path.join(tmp, "rev"))
         new_src = os.path.join(ROOT, "src")
@@ -118,8 +138,10 @@ def main(argv: list[str]) -> int:
         for name, keys, steps in runs:
             old = train(old_src, keys, out, cfg, steps)
             new = train(new_src, keys, out, cfg, steps)
+            failed = failed or any(got[f] is None for got in (old, new)
+                                   for f in FILES)
             bad = [f for f in FILES if old[f] is None or old[f] != new[f]]
-            ok = ok and not bad
+            identical = identical and not bad
             line = "identical" if not bad else "DIFFERS in " + ", ".join(bad)
             if "final.ckpt" in bad:
                 same = old["state"] is not None and old["state"] == new["state"]
@@ -127,10 +149,16 @@ def main(argv: list[str]) -> int:
                                               else "DIFFERS")
             print(f"{name}: {line}", flush=True)
         print(f"{rev} vs working tree: "
-              + ("all identical" if ok else "NOT identical"))
+              + ("all identical" if identical else "NOT identical"))
+        # every leg of a side runs the same src/: the last one speaks for all
+        old_epoch, new_epoch = (bits_epoch(got["run-manifest.txt"])
+                                for got in (old, new))
+        print(f"bits epoch {old_epoch} -> {new_epoch}")
         print(f"src/ lines: {rev} {src_lines(old_src)}, "
               f"working tree {src_lines(new_src)}")
-    return 0 if ok else 1
+    if failed:
+        return 1
+    return 0 if identical or old_epoch != new_epoch else 1
 
 
 if __name__ == "__main__":

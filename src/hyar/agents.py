@@ -11,7 +11,7 @@ env states are cast once, where they enter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -280,11 +280,13 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
     """Correct stale latents against the current representation.
 
     Discrete: any e that no longer decodes to its stored k is replaced by the
-    current table row plus N(0, noise) kept inside the row's Voronoi cell
-    (up to `redraws` attempts, then the exact row); a candidate is checked
-    in the dtype of batch.e, which stores it.  Continuous: transitions
-    whose dynamics-prediction error exceeds threshold_mult * moving_dyn_loss
-    get z resampled from the encoder posterior.  Works on copies.
+    current table row plus N(0, noise) kept inside the row's Voronoi cell.
+    Each such row gets `redraws` candidates, drawn for the whole batch as
+    one normal block and decoded in one pass in the dtype of batch.e (which
+    stores them); it takes the first that decodes to k, or else the exact
+    row.  Continuous: transitions whose dynamics-prediction error exceeds
+    threshold_mult * moving_dyn_loss get z resampled from the encoder
+    posterior.  Works on copies.
     """
     if moving_dyn_loss < 0.0:
         raise ValueError("moving_dyn_loss must be >= 0")
@@ -293,19 +295,19 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
     z = batch.z.copy()
     ks = np.asarray(batch.k, dtype=np.int64)
     wrong = np.flatnonzero(repr_model.nn_decode_batch(e) != ks)
-    for i in wrong:
-        k = int(ks[i])
-        row = repr_model.table[k]
-        for _ in range(redraws):
-            cand = (row + rng.normal(0.0, noise, size=row.shape)).astype(
-                e.dtype)
-            if repr_model.nn_decode_batch(cand[None])[0] == k:
-                e[i] = cand
-                break
-        else:
-            e[i] = row
-            stats.discrete_fallbacks += 1
-        stats.discrete_relabeled += 1
+    n, d1 = wrong.size, e.shape[1]
+    if n:
+        k = ks[wrong]
+        exact = repr_model.table[k][:, None].astype(e.dtype)
+        cand = (exact + rng.normal(0.0, noise, size=(n, redraws, d1))).astype(
+            e.dtype)
+        hit = repr_model.nn_decode_batch(cand.reshape(-1, d1)).reshape(
+            n, redraws) == k[:, None]
+        # the exact row is each row's last candidate, and always qualifies
+        first = np.argmax(np.c_[hit, np.ones(n, bool)], axis=1)
+        e[wrong] = np.concatenate([cand, exact], axis=1)[np.arange(n), first]
+        stats.discrete_relabeled = n
+        stats.discrete_fallbacks = int(np.sum(first == redraws))
 
     rows = repr_model.table[ks]
     _x_rec, delta = repr_model.decode_and_predict(z, batch.s, rows)
@@ -316,8 +318,7 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
         eps = rng.standard_normal(size=mu.shape)
         z[over] = nk.reparam_sample(mu, log_std, eps)
         stats.continuous_relabeled = int(over.size)
-    return Batch(s=batch.s, k=batch.k, x=batch.x, e=e, z=z, r=batch.r,
-                 s_next=batch.s_next, done=batch.done), stats
+    return replace(batch, e=e, z=z), stats
 
 
 # ---- critic and actor losses (taped, shared by updates and gradcheck) --
@@ -329,7 +330,7 @@ def critic_loss_grads(nets: AgentNets, i: int, s: np.ndarray, lat: np.ndarray,
     t = nk.Tape()
     sa = nk.const(np.concatenate([s, lat], axis=1))
     q = nk.mlp_apply(t, nets.critics[i].grad_vars(), sa)
-    loss = t.msq_to(q, y[:, None])
+    loss = t.mean(t.sq_dist(q, y[:, None]))
     t.backward(loss)
     return float(loss.data), nets.critics[i].grad
 
@@ -361,8 +362,7 @@ def td_targets(nets: AgentNets, batch: Batch, bounds: LatentBounds,
     lat = bounds.rescale(raw)
     qs = [nets.critic_value(j, batch.s_next, lat, target=True)
           for j in range(len(nets.target_critics))]
-    q_min = qs[0] if len(qs) == 1 else np.minimum(qs[0], qs[1])
-    return batch.r + config.gamma * (1.0 - batch.done) * q_min
+    return batch.r + config.gamma * (1.0 - batch.done) * np.minimum.reduce(qs)
 
 
 def critic_update(nets: AgentNets, batch: Batch, bounds: LatentBounds,

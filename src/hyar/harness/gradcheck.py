@@ -52,7 +52,7 @@ def gradcheck_suite(samples_per_entry: int = 4, seed: int = 0) -> dict:
                      rng)
     lo = rng.uniform(-2.0, -0.5, size=model.d1 + model.d2)
     hi = rng.uniform(0.5, 2.0, size=model.d1 + model.d2)
-    bounds = LatentBounds(lo, hi, 96.0)
+    bounds = LatentBounds(lo, hi)
     batch = Batch(s=s, k=k, x=x, e=model.table[k].copy(),
                   z=rng.normal(size=(B, model.d2)), r=rng.normal(size=B),
                   s_next=s_next, done=np.zeros(B))

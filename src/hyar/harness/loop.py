@@ -35,6 +35,7 @@ from .metrics import EVAL_HEADER, METRICS_HEADER, CsvLog, write_manifest
 
 BOUNDS_SAMPLE_CAP = 2000  # latents fed to each percentile refresh
 CONFIG_ENTRY = "config"  # read first: it builds the Trainer that loads the rest
+EPOCH_ENTRY = "bits_epoch"  # a checkpoint of another epoch does not resume
 RESUME_KEYS = ("run.total_env_steps",)  # all a resume may change
 
 
@@ -336,18 +337,17 @@ class Trainer:
 
     def _bounds_slot(self) -> nk.Slot:
         lat = (self.cfg.d1 + self.cfg.d2,)
-        shapes = {"bounds.lower": lat, "bounds.upper": lat, "bounds.c": ()}
+        names = ("bounds.lower", "bounds.upper")
 
         def save() -> dict:
             if self.bounds is None:
                 raise nk.CheckpointError("cannot checkpoint before warm-up")
-            b = self.bounds
-            return dict(zip(shapes, (b.lower, b.upper, np.float64(b.c))))
+            return dict(zip(names, (self.bounds.lower, self.bounds.upper)))
 
         def load(d: dict) -> None:
             try:
-                self.bounds = LatentBounds(*(nk.finite_entry(d, n, shape).copy()
-                                             for n, shape in shapes.items()))
+                self.bounds = LatentBounds(*(nk.finite_entry(d, n, lat).copy()
+                                             for n in names))
             except ValueError as exc:
                 raise nk.CheckpointError(f"bounds: {exc}") from exc
         return nk.Slot(save, load)
@@ -378,6 +378,7 @@ class Trainer:
     def save_checkpoint(self, path: str) -> None:
         entries = nk.gather(self._slots())
         entries[CONFIG_ENTRY] = _utf8_array(self.cfg.config_text())
+        entries[EPOCH_ENTRY] = np.float64(nk.BITS_EPOCH)
         nk.save_checkpoint(path, entries)
 
     @classmethod
@@ -387,6 +388,10 @@ class Trainer:
         if fixed:
             raise ConfigError(f"a resume may set only {RESUME_KEYS}, not {fixed}")
         entries = nk.load_checkpoint(path)
+        epoch = float(nk.entry(entries, EPOCH_ENTRY, ()))
+        if epoch != nk.BITS_EPOCH:
+            raise nk.CheckpointError(f"{EPOCH_ENTRY}: {epoch!r}, but this "
+                                     f"code makes epoch {nk.BITS_EPOCH}")
         values = parse_config_lines(
             _utf8_str(entries, CONFIG_ENTRY).splitlines(), where=path)
         budget = build_config(values).total_env_steps

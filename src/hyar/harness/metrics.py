@@ -69,13 +69,14 @@ class CsvLog:
 def write_manifest(path: str, config, checkpoint_name: str,
                    checkpoint_path: str) -> str:
     """Resolved config, the checkpoint's git-style blob hash (returned), its
-    format and the numeric policy the run trained under."""
+    format, the numeric policy the run trained under and its bits epoch."""
     sha = nk.git_blob_sha1(checkpoint_path)
     lines = config.manifest_lines() + [
         f"checkpoint = {checkpoint_name}",
         f"checkpoint_sha1 = {sha}",
         f"checkpoint_format = {nk.MAGIC}",
         f"numeric_policy = {nk.TRAIN_DTYPE.name}",
+        f"bits_epoch = {nk.BITS_EPOCH}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,7 +2,8 @@
 
 Plain numpy.  The numeric policy (policy.py) declares the one dtype models
 build their state in: float32 for training, float64 only inside
-float64_models() (finite-difference checks).  Ops, Adam and Polyak compute
+float64_models() (finite-difference checks); and BITS_EPOCH, which names
+the bits of the runs the code makes.  Ops, Adam and Polyak compute
 in the dtype of the arrays they are given and never cast.  The tape is the
 only autodiff mechanism in the package; an MLP is its list of widths,
 built by init_params into a ParameterSet, run by mlp_apply and trained with
@@ -12,7 +13,7 @@ backward() into .grad, and adam_step reads that flat vector (it returns
 False, and changes nothing, if the vector is not finite).
 """
 from .errors import ShapeError, TapeUsageError
-from .policy import TRAIN_DTYPE, model_dtype, float64_models
+from .policy import BITS_EPOCH, TRAIN_DTYPE, model_dtype, float64_models
 from .tape import Tape, Var, leaf, const
 from .nets import ParameterSet, init_params, mlp_apply
 from .optim import AdamState, adam_step, soft_update
@@ -24,7 +25,7 @@ from .checkpoint import (MAGIC, CheckpointError, save_checkpoint,
 
 __all__ = [
     "ShapeError", "TapeUsageError",
-    "TRAIN_DTYPE", "model_dtype", "float64_models",
+    "BITS_EPOCH", "TRAIN_DTYPE", "model_dtype", "float64_models",
     "Tape", "Var", "leaf", "const",
     "ParameterSet", "init_params", "mlp_apply",
     "AdamState", "adam_step", "soft_update",

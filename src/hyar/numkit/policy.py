@@ -1,4 +1,5 @@
-"""The numeric policy: the one dtype that models build their state in.
+"""The numeric policy: the one dtype that models build their state in, and
+the bits epoch of the runs this code makes.
 
 Models (representation, agent nets, replay buffer, latent bounds) read
 model_dtype() when they are built and keep it for their life.  numkit's ops
@@ -14,6 +15,9 @@ import contextlib
 import numpy as np
 
 TRAIN_DTYPE = np.dtype(np.float32)
+# Bump it when a change alters the bits of metrics.csv/eval.csv: runs and
+# checkpoints of another epoch are runs of other code.
+BITS_EPOCH = 1
 _active = [TRAIN_DTYPE]
 
 

@@ -5,11 +5,12 @@ reverse, so no topological sort is needed.  Every op returns a fresh Var and,
 on a recording tape, appends a closure that routes the output adjoint to the
 parents.  Ops compute in the dtype of their inputs and never cast: a model's
 float32 parameters and inputs give float32 arithmetic, float64 ones float64.
-Scalar losses (msq_to, mean, neg_mean) are 0-d float64 values, and their
-backward casts the incoming adjoint to the input's dtype before it meets an
-array.  A tape built with record=False runs the same forward expression and
-returns its output at once: it builds no backward closures and keeps no
-list, so inference pays only for the forward arithmetic.
+Scalar losses (mean, neg_mean) are 0-d float64 values, and their backward
+casts the incoming adjoint to the input's dtype before it meets an array;
+a mean squared error is mean(sq_dist(pred, target)).  A tape built with
+record=False runs the same forward expression and returns its output at
+once: it builds no backward closures and keeps no list, so inference pays
+only for the forward arithmetic.
 """
 from __future__ import annotations
 
@@ -235,16 +236,6 @@ class Tape:
                 if mask is not None:
                     gp = gp * mask
                 _acc(pred, gp)
-            self._steps.append((out, back))
-        return out
-
-    def msq_to(self, pred: Var, target) -> Var:
-        """Scalar mean squared error against a constant target."""
-        d = pred.data - target
-        out = Var(np.float64((d * d).mean()))
-        if self.record:
-            def back(g, pred=pred, d=d):
-                _acc(pred, (2.0 / d.size) * d.dtype.type(g) * d)
             self._steps.append((out, back))
         return out
 

@@ -36,40 +36,35 @@ class ReprLossRecord:
 
 @dataclass
 class LatentBounds:
-    """Per-dimension c-percentage central range of observed latents, in
-    nk.model_dtype(); c must lie in (0, 100]."""
+    """Per-dimension central range [lower, upper] of observed latents, in
+    nk.model_dtype(), and the map u * scale + shift of [-1, 1] onto it."""
 
     lower: np.ndarray
     upper: np.ndarray
-    c: float
 
     def __post_init__(self):
         dtype = nk.model_dtype()
         self.lower = np.asarray(self.lower, dtype)
         self.upper = np.asarray(self.upper, dtype)
-        self.c = float(self.c)
         if self.lower.shape != self.upper.shape:
             raise nk.ShapeError("bounds shape mismatch")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        if not 0.0 < self.c <= 100.0:
-            raise ValueError(f"c must lie in (0, 100], got {self.c}")
+        self.scale = (self.upper - self.lower) / 2.0
+        self.shift = self.lower + self.scale
 
     def rescale(self, u: np.ndarray) -> np.ndarray:
-        """Map raw actor output in [-1,1] onto [lower, upper] per dimension."""
-        return self.lower + (u + 1.0) * self.scale
-
-    @property
-    def scale(self) -> np.ndarray:
-        return (self.upper - self.lower) / 2.0
-
-    @property
-    def shift(self) -> np.ndarray:
-        return self.lower + (self.upper - self.lower) / 2.0
+        """Map raw actor output in [-1,1] onto [lower, upper] per dimension:
+        the expression Tape.rescale evaluates, so acting, TD targets and the
+        actor loss see the same bits."""
+        return u * self.scale + self.shift
 
 
 def percentile_pair(c: float) -> tuple[float, float]:
-    """The central-range percentiles: c=96 -> (2, 98)."""
+    """The central-range percentiles: c=96 -> (2, 98); c must lie in
+    (0, 100]."""
+    if not 0.0 < c <= 100.0:
+        raise ValueError(f"c must lie in (0, 100], got {c}")
     return (100.0 - c) / 2.0, (100.0 + c) / 2.0
 
 
@@ -311,7 +306,7 @@ class ReprModel:
         lo_p, hi_p = percentile_pair(c)
         lower = np.percentile(lat, lo_p, axis=0, method="linear")
         upper = np.percentile(lat, hi_p, axis=0, method="linear")
-        return LatentBounds(lower, upper, c)
+        return LatentBounds(lower, upper)
 
     def export_latents(self, s, k, x_pad, s_next, path: str) -> int:
         """CSV rows (e..., z..., k, dyn_error) using the encoder mean as z."""

@@ -40,7 +40,7 @@ def _load_cached_run(name: str, env_id: str, seed: int, steps: int,
                      n: int | None = None, marker: str | None = None) -> float:
     """Final evaluation success of a cached run, after verifying that its
     manifest matches the required configuration key for key and names the
-    current checkpoint format and numeric policy."""
+    current checkpoint format, numeric policy and bits epoch."""
     base = os.path.join(RUNS_DIR, name)
     done = os.path.join(RUNS_DIR, (marker or name) + ".done")
     if not (os.path.isfile(done) and os.path.isfile(os.path.join(base, "eval.csv"))):
@@ -65,10 +65,11 @@ def _load_cached_run(name: str, env_id: str, seed: int, steps: int,
         key, _, val = expect.partition(" = ")
         assert manifest.get(key) == val, \
             f"{name}: manifest has {key} = {manifest.get(key)!r}, need {val!r}"
-    # a run made under another numeric policy or checkpoint format is a
-    # run of other code: its numbers do not count for this one
+    # a run made under another numeric policy, checkpoint format or bits
+    # epoch is a run of other code: its numbers do not count for this one
     for key, val in (("checkpoint_format", nk.MAGIC),
-                     ("numeric_policy", nk.TRAIN_DTYPE.name)):
+                     ("numeric_policy", nk.TRAIN_DTYPE.name),
+                     ("bits_epoch", str(nk.BITS_EPOCH))):
         assert manifest.get(key) == val, \
             (f"{name}: manifest has {key} = {manifest.get(key)!r}, need "
              f"{val!r}; re-make it with scripts/acceptance_runs.sh")
@@ -300,7 +301,7 @@ def test_criterion_8_untrained_baselines() -> None:
         nets = AgentNets(spec.state_dim, model.d1, model.d2,
                          AgentConfig.td3(), np.random.default_rng(51))
         dim = model.d1 + model.d2
-        bounds = LatentBounds(np.full(dim, -1.0), np.full(dim, 1.0), 100.0)
+        bounds = LatentBounds(np.full(dim, -1.0), np.full(dim, 1.0))
         _ret, succ = evaluate(nets, model, bounds, envs.make(env_id, n),
                               episodes=100, seed=52)
         rates[env_id] = succ

@@ -15,7 +15,7 @@ D1 = D2 = 6
 
 
 def identity_bounds(dim: int = D1 + D2) -> LatentBounds:
-    return LatentBounds(-np.ones(dim), np.ones(dim), 100.0)
+    return LatentBounds(-np.ones(dim), np.ones(dim))
 
 
 def small_setup(seed: int = 0, algo: str = "td3", **cfg_kw):
@@ -142,12 +142,34 @@ def test_select_deterministic_without_exploration() -> None:
     assert np.all(np.abs(np.concatenate([e1, z1])) <= 1.0)
 
 
+def test_bounds_rescale_is_the_tape_rescale_bit_for_bit() -> None:
+    """Acting, TD targets and the actor loss map latents with one
+    expression: LatentBounds.rescale gives Tape.rescale's float32 bits."""
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-3.0, 0.0, size=D1 + D2)
+    b = LatentBounds(lo, lo + rng.uniform(0.0, 3.0, size=D1 + D2))
+    u = np.tanh(rng.normal(size=(256, D1 + D2))).astype(np.float32)
+    ours = b.rescale(u)
+    tape = nk.Tape(record=False).rescale(nk.const(u), b.scale, b.shift).data
+    assert ours.dtype == tape.dtype == np.float32
+    assert ours.tobytes() == tape.tobytes()
+
+
+def test_select_without_rng_rescales_the_actor_output() -> None:
+    spec, _cfg, _model, nets = small_setup()
+    b = LatentBounds(np.full(D1 + D2, -0.5), np.full(D1 + D2, 2.0))
+    s = np.random.default_rng(6).normal(size=spec.state_dim)
+    e, z = select_latent_action(nets, b, s)
+    want = b.rescale(nets.actor_raw(s[None])[0])
+    assert np.concatenate([e, z]).tobytes() == want.tobytes()
+
+
 def test_select_midpoint_rescale() -> None:
     """Zero actor output lands on the bound midpoint: (2,4) -> 3."""
     spec, _cfg, _model, nets = small_setup()
     nets.actor["W2"][...] = 0.0
     nets.actor["b2"][...] = 0.0
-    b = LatentBounds(np.full(D1 + D2, 2.0), np.full(D1 + D2, 4.0), 96.0)
+    b = LatentBounds(np.full(D1 + D2, 2.0), np.full(D1 + D2, 4.0))
     e, z = select_latent_action(nets, b, np.zeros(spec.state_dim))
     assert np.allclose(np.concatenate([e, z]), 3.0)
 
@@ -156,7 +178,7 @@ def test_select_exploration_clips_then_rescales() -> None:
     spec, _cfg, _model, nets = small_setup(expl_sigma=50.0)
     s = np.zeros(spec.state_dim)
     lo, hi = np.full(D1 + D2, -0.5), np.full(D1 + D2, 2.0)
-    b = LatentBounds(lo, hi, 96.0)
+    b = LatentBounds(lo, hi)
     rng = np.random.default_rng(3)
     for _ in range(20):
         e, z = select_latent_action(nets, b, s, rng=rng)
@@ -251,6 +273,59 @@ def test_relabel_fallback_uses_exact_row() -> None:
     assert stats.discrete_fallbacks == 8
     assert np.array_equal(out.e, model.table[np.asarray(out.k)])
     assert np.array_equal(model.nn_decode_batch(out.e), out.k)
+
+
+def _relabel_e_by_row(model, batch, rng, noise, redraws):
+    """(e, relabeled, fallbacks) of the discrete relabel, one row at a time:
+    row i of the normal block holds wrong row i's candidate draws."""
+    e = batch.e.copy()
+    ks = np.asarray(batch.k)
+    wrong = np.flatnonzero(model.nn_decode_batch(e) != ks)
+    block = rng.normal(0.0, noise, size=(wrong.size, redraws, e.shape[1]))
+    fallbacks = 0
+    for i, draws in zip(wrong, block):
+        row = model.table[ks[i]]
+        for d in draws:
+            cand = (row + d).astype(e.dtype)
+            if model.nn_decode_batch(cand[None])[0] == ks[i]:
+                e[i] = cand
+                break
+        else:
+            e[i] = row
+            fallbacks += 1
+    return e, wrong.size, fallbacks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("redraws", [0, 3])
+def test_relabel_matches_row_by_row_reference(dtype, redraws) -> None:
+    """The batched discrete relabel takes, row for row, the candidate a
+    per-row loop over the same normal block takes, consumes the same draws
+    and counts the same fallbacks, with at most two nn_decode_batch calls."""
+    spec, _cfg, model, _nets = small_setup()
+    rng = np.random.default_rng(16)
+    batch = consistent_batch(spec, model, 64, rng)
+    shift = rng.integers(0, 2, size=64)  # half the rows decode wrong
+    batch.e = model.table[(batch.k + shift) % spec.num_discrete].astype(dtype)
+    calls = []
+    decode = model.nn_decode_batch
+    model.nn_decode_batch = lambda e: calls.append(1) or decode(e)
+    gen, twin = np.random.default_rng(17), np.random.default_rng(17)
+    out, stats = relabel_batch(model, batch, float("inf"), gen, noise=3.0,
+                               redraws=redraws)
+    model.nn_decode_batch = decode
+    e, relabeled, fallbacks = _relabel_e_by_row(model, batch, twin, 3.0,
+                                                redraws)
+    assert len(calls) == 2
+    assert out.e.dtype == dtype and np.array_equal(out.e, e)
+    assert (stats.discrete_relabeled, stats.discrete_fallbacks,
+            stats.continuous_relabeled) == (relabeled, fallbacks, 0)
+    assert gen.standard_normal() == twin.standard_normal()
+    assert relabeled == np.sum(shift)
+    if redraws == 0:
+        assert fallbacks == relabeled
+    else:  # the block exercises both outcomes
+        assert 0 < fallbacks < relabeled
 
 
 def test_relabel_continuous_resamples_from_encoder() -> None:
@@ -373,7 +448,7 @@ def test_actor_gradients_match_finite_differences() -> None:
     batch = consistent_batch(spec, model, 8, rng)
     lo = rng.uniform(-2.0, -0.5, size=D1 + D2)
     hi = rng.uniform(0.5, 2.0, size=D1 + D2)
-    bounds = LatentBounds(lo, hi, 96.0)
+    bounds = LatentBounds(lo, hi)
     _loss, grads = actor_loss_grads(nets, batch.s, bounds)
 
     def loss_fn() -> float:
@@ -525,13 +600,13 @@ def test_float32_gradients_track_float64() -> None:
     spec, cfg, m32, n32 = small_setup(seed=40)
     with nk.float64_models():
         _spec, _cfg, m64, n64 = small_setup(seed=40)
-        b64 = LatentBounds(np.full(D1 + D2, -1.5), np.full(D1 + D2, 2.0), 96.0)
+        b64 = LatentBounds(np.full(D1 + D2, -1.5), np.full(D1 + D2, 2.0))
     for p32, p64 in ([(m32.params, m64.params), (n32.actor, n64.actor)]
                      + list(zip(n32.critics, n64.critics))
                      + list(zip(n32.target_critics, n64.target_critics))
                      + [(n32.target_actor, n64.target_actor)]):
         p64.flat[...] = p32.flat  # the same weights, exactly
-    b32 = LatentBounds(b64.lower, b64.upper, 96.0)
+    b32 = LatentBounds(b64.lower, b64.upper)
     rng = np.random.default_rng(41)
     cols = vars(consistent_batch(spec, m64, 32, rng)).values()
     f32 = Batch(*(v.astype(np.float32) if v.dtype.kind == "f" else v

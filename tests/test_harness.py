@@ -666,8 +666,12 @@ CAPACITY = RunConfig().agent_config().buffer_capacity
     pytest.param(_set("bounds.upper", lambda d: np.r_[np.inf,
                                                       d["bounds.upper"][1:]]),
                  id="bounds-inf"),
-    pytest.param(_set("bounds.c", np.float64(np.nan)), id="bounds-c-nan"),
-    pytest.param(_set("bounds.c", np.float64(250.0)), id="bounds-c-over-100"),
+    # a checkpoint of another bits epoch, or of none, is a run of other code
+    pytest.param(_entries_edit(lambda d: d.pop("bits_epoch")),
+                 id="bits-epoch-missing"),
+    pytest.param(_set("bits_epoch", np.float64(nk.BITS_EPOCH - 1)),
+                 id="bits-epoch-older"),
+    pytest.param(_set("bits_epoch", np.float64(np.nan)), id="bits-epoch-nan"),
     pytest.param(_set("buffer.k", lambda d: np.r_[-1.0, d["buffer.k"][1:]]),
                  id="k-negative"),
     pytest.param(_set("buffer.k", lambda d: np.r_[999.0, d["buffer.k"][1:]]),

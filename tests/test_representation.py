@@ -322,12 +322,12 @@ def test_percentile_example_and_bounds() -> None:
 
 
 def test_bounds_rescale_and_degenerate_dim() -> None:
-    b = LatentBounds(np.array([-1.0, 2.0]), np.array([1.0, 2.0]), c=96.0)
+    b = LatentBounds(np.array([-1.0, 2.0]), np.array([1.0, 2.0]))
     assert np.allclose(b.rescale(np.array([-1.0, -1.0])), [-1.0, 2.0])
     assert np.allclose(b.rescale(np.array([1.0, 1.0])), [1.0, 2.0])
     assert np.allclose(b.rescale(np.array([0.0, 0.7])), [0.0, 2.0])
     with pytest.raises(ValueError):
-        LatentBounds(np.array([1.0]), np.array([0.0]), c=50.0)
+        LatentBounds(np.array([1.0]), np.array([0.0]))
 
 
 def test_export_latents(tmp_path) -> None:
