@@ -7,7 +7,8 @@ directory, then trains five tiny configurations once with each side's src/
 on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
 written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
-byte and prints one line.  When the final.ckpt bytes differ, the line also
+byte and prints one line; the manifest is compared without its src_sha256
+line, which names the code and so differs whenever src/ does.  When the final.ckpt bytes differ, the line also
 says whether the decoded states are identical: each side loads its own
 file with its own src/ in a subprocess and digests every entry as float64,
 as perfbench's state_digest does (the config entry included, since both
@@ -105,6 +106,10 @@ def train(src: str, keys: dict, out: str, cfg_path: str,
     paths = {name: Path(out, name) for name in FILES}
     got = {name: p.read_bytes() if p.exists() else None
            for name, p in paths.items()}
+    if got["run-manifest.txt"] is not None:
+        got["run-manifest.txt"] = b"".join(
+            line for line in got["run-manifest.txt"].splitlines(keepends=True)
+            if not line.startswith(b"src_sha256 = "))
     res = subprocess.run([sys.executable, "-c", DIGEST,
                           str(paths["final.ckpt"])], env=env,
                          capture_output=True, text=True, timeout=600)

@@ -125,12 +125,16 @@ class ReplayBuffer:
 
     def push(self, s, k: int, x_pad, e, z, r: float, s_next,
              done: bool) -> None:
+        """Store one transition at the cursor; e or z None leaves that
+        latent as it is, for a caller that fills it later (the warm-up)."""
         i = self.cursor
         self.s[i] = s
         self.k[i] = int(k)
         self.x[i] = x_pad
-        self.e[i] = e
-        self.z[i] = z
+        if e is not None:
+            self.e[i] = e
+        if z is not None:
+            self.z[i] = z
         self.r[i] = r
         self.s_next[i] = s_next
         self.done[i] = 1.0 if done else 0.0

@@ -6,7 +6,9 @@ budget, and checkpoints are written only at such boundaries, so no environment
 state ever needs serializing.  All stochastic training decisions draw from a
 single stream generator whose state rides along in the checkpoint; env resets
 and evaluations use seeds derived statelessly from (run seed, counter), which
-together make resumed runs bit-identical to uninterrupted ones.
+together make resumed runs bit-identical to uninterrupted ones.  The
+warm-up draws only k and x per random step; the latents of its rows come
+after collection, in fixed-size encoder calls over the buffer.
 
 Checkpointed run state is declared once, in Trainer._slots(): each slot
 names its entries and both saves and restores them, so save_checkpoint and
@@ -34,6 +36,10 @@ from .config import RunConfig, build_config, parse_config_lines
 from .metrics import EVAL_HEADER, METRICS_HEADER, CsvLog, write_manifest
 
 BOUNDS_SAMPLE_CAP = 2000  # latents fed to each percentile refresh
+# Rows per encoder call over the warm-up's rows.  Fixed, because a float32
+# GEMM's row bits depend on the call's row count; small, so the call's
+# activations stay small (one 20000-row call would raise peak RSS).
+ENCODE_BLOCK = 1024
 CONFIG_ENTRY = "config"  # read first: it builds the Trainer that loads the rest
 EPOCH_ENTRY = "bits_epoch"  # a checkpoint of another epoch does not resume
 RESUME_KEYS = ("run.total_env_steps",)  # all a resume may change
@@ -201,8 +207,9 @@ class Trainer:
             c=self.cfg.c)
         self.bounds_refreshes += 1
 
-    def warmup_stage(self) -> None:
-        """Random-policy collection, then representation pre-training."""
+    def _collect_random(self) -> None:
+        """Random-policy episodes until the warm-up budget is met; each step
+        draws k, then x, and stores its row with e and z unset."""
         target = self.cfg.warmup()
         while self.env_step < target:
             s = self.env.reset(derive_seed(self.cfg.seed, 4, self.episode))
@@ -212,13 +219,29 @@ class Trainer:
                 x = self.stream.uniform(-1.0, 1.0,
                                         size=self.spec.param_dims[k])
                 res = self.env.step(HybridAction(k, x))
-                mu, ls = self.model.encode(s[None], [k], self._pad(x)[None])
-                eps = self.stream.standard_normal(mu.shape)
-                z = nk.reparam_sample(mu, ls, eps)[0]
-                self._store(s, k, x, self.model.embed_lookup(k), z, res)
+                self._store(s, k, x, None, None, res)
                 s = res.state
                 done = res.done
             self.episode += 1
+
+    def _encode_warmup(self) -> None:
+        """Latents of the stored rows [0, n): e is the table row of k (the
+        table does not change during collection), and z = mu + exp(log_std)
+        * eps of the encoder, with every eps drawn as one (n, d2) block and
+        the rows encoded in ENCODE_BLOCK-row calls."""
+        buf, n = self.buffer, self.buffer.size
+        buf.e[:n] = self.model.table[buf.k[:n]]
+        eps = self.stream.standard_normal((n, self.cfg.d2))
+        for i in range(0, n, ENCODE_BLOCK):
+            j = slice(i, min(i + ENCODE_BLOCK, n))
+            mu, ls = self.model.encode(buf.s[j], buf.k[j], buf.x[j])
+            buf.z[j] = nk.reparam_sample(mu, ls, eps[j])
+
+    def warmup_stage(self) -> None:
+        """Random-policy collection, the latents of what it stored, then
+        representation pre-training and the first latent bounds."""
+        self._collect_random()
+        self._encode_warmup()
         for _ in range(self.cfg.pretrain_batches):
             self._repr_batch()
         self._refresh_bounds()

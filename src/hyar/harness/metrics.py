@@ -1,7 +1,9 @@
 """CSV metrics log, evaluation log, and the run manifest."""
 from __future__ import annotations
 
+import hashlib
 import os
+from pathlib import Path
 
 from .. import numkit as nk
 
@@ -66,10 +68,23 @@ class CsvLog:
         self._fh.close()
 
 
+def src_sha256() -> str:
+    """sha256 of the code that runs: every *.py file of the hyar package in
+    sorted order, each as its path relative to the package's parent
+    directory, a NUL byte and its bytes (perfbench's src_sha256)."""
+    pkg = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for f in sorted(pkg.rglob("*.py")):
+        digest.update(str(f.relative_to(pkg.parent)).encode() + b"\0"
+                      + f.read_bytes())
+    return digest.hexdigest()
+
+
 def write_manifest(path: str, config, checkpoint_name: str,
                    checkpoint_path: str) -> str:
     """Resolved config, the checkpoint's git-style blob hash (returned), its
-    format, the numeric policy the run trained under and its bits epoch."""
+    format, the numeric policy the run trained under, its bits epoch and
+    the hash of the code that made it (recorded, never checked)."""
     sha = nk.git_blob_sha1(checkpoint_path)
     lines = config.manifest_lines() + [
         f"checkpoint = {checkpoint_name}",
@@ -77,6 +92,7 @@ def write_manifest(path: str, config, checkpoint_name: str,
         f"checkpoint_format = {nk.MAGIC}",
         f"numeric_policy = {nk.TRAIN_DTYPE.name}",
         f"bits_epoch = {nk.BITS_EPOCH}",
+        f"src_sha256 = {src_sha256()}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

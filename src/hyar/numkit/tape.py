@@ -74,6 +74,18 @@ def _acc(v: Var, g) -> None:
         v.sink += g
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.  Over an inner width of 1 the product is an outer product,
+    formed by broadcasting: several times faster than a BLAS call on these
+    small shapes, and the same bits once + 0.0 turns its -0.0 products into
+    the +0.0 that BLAS accumulates."""
+    if a.shape[-1] != 1:
+        return a @ b
+    out = a * b
+    out += 0.0
+    return out
+
+
 def _acc_out(v: Var, fn, *args, **kwargs) -> None:
     """_acc(v, fn(*args, **kwargs)), except that a parameter leaf's first
     gradient is computed straight into its sink (fn takes out=): no
@@ -112,18 +124,20 @@ class Tape:
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:
         """y = x @ w.T + b with x shaped (batch, in_dim) and w shaped
-        (out_dim, in_dim)."""
+        (out_dim, in_dim).  The forward product when in_dim is 1 and the
+        input gradient when out_dim is 1 broadcast instead of calling BLAS
+        (_dot)."""
         xd, wd = x.data, w.data
         if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
             raise ShapeError(f"affine: input {xd.shape} vs weight {wd.shape}")
-        out = Var(xd @ wd.T + b.data)
+        out = Var(_dot(xd, wd.T) + b.data)
         if self.record:
             def back(g, x=x, w=w, b=b, xd=xd, wd=wd):
                 if not w.stop:
                     _acc_out(w, np.matmul, g.T, xd)
                     _acc_out(b, np.sum, g, axis=0)
                 if not x.stop:
-                    _acc(x, g @ wd)
+                    _acc(x, _dot(g, wd))
             self._steps.append((out, back))
         return out
 

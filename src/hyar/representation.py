@@ -111,6 +111,8 @@ class ReprModel:
         self.mask_table = np.zeros((env_spec.num_discrete, mp), self.dtype)
         for k, pd in enumerate(env_spec.param_dims):
             self.mask_table[k, :pd] = 1.0
+        self._decode_key = None  # table bytes behind _decode_terms
+        self._decode_terms = None
         self.repair_rows(rng)
 
     # ---- parameter grouping (zeta / phi / psi0 / psi1 / psi2) ----------
@@ -147,10 +149,17 @@ class ReprModel:
         |t_k|^2 - 2 e.t_k (|e|^2 is the same for every k): its error near
         1e-15 resolves the 1e-12 squared gaps repair_rows keeps, where
         float32 scores err by about 1e-7.  e is widened exactly, so a caller
-        that stores e checks the value it stores."""
-        t = self.table.astype(np.float64)
-        score = np.asarray(e, np.float64) @ (-2.0 * t.T)
-        score += np.einsum("kd,kd->k", t, t)
+        that stores e checks the value it stores.  The table's terms, -2 T^T
+        and the row norms, are kept until the table's bytes change: Adam,
+        repair_rows and a checkpoint load all write the table in place."""
+        key = self.table.tobytes()
+        if key != self._decode_key:
+            t = self.table.astype(np.float64)
+            self._decode_terms = (-2.0 * t.T, np.einsum("kd,kd->k", t, t))
+            self._decode_key = key
+        neg2t, norms = self._decode_terms
+        score = np.asarray(e, np.float64) @ neg2t
+        score += norms
         return np.argmin(score, axis=1)
 
     def repair_rows(self, rng: np.random.Generator) -> int:

@@ -1,4 +1,5 @@
 """Harness: config parsing, warm-up, loop accounting, metrics, resume, CLI."""
+import hashlib
 import json
 import os
 import platform
@@ -233,6 +234,46 @@ def test_warmup_deterministic() -> None:
     assert np.array_equal(a.bounds.lower, b.bounds.lower)
 
 
+def test_warmup_encodes_in_blocks_after_collection(monkeypatch) -> None:
+    """No encode call while collecting; then ceil(n / ENCODE_BLOCK) calls
+    over the stored rows, then the bounds refresh's one call."""
+    import hyar.harness.loop as loop
+    monkeypatch.setattr(loop, "ENCODE_BLOCK", 64)
+    tr = Trainer(build_config(overrides=tiny_overrides("/tmp/unused-e")))
+    calls, encodes_at_step = [], []
+    encode, step = tr.model.encode, tr.env.step
+    tr.model.encode = lambda s, k, x: calls.append(len(s)) or encode(s, k, x)
+    tr.env.step = lambda a: encodes_at_step.append(len(calls)) or step(a)
+    tr.warmup_stage()
+    n = tr.buffer.size
+    blocks = -(-n // 64)
+    assert n > 3 * 64 and encodes_at_step == [0] * n
+    assert calls == [64] * (blocks - 1) + [n - 64 * (blocks - 1), n]
+
+
+def test_warmup_latents_are_table_rows_and_block_samples(monkeypatch) -> None:
+    """After collection, e is the table row of k exactly, and z is
+    mu + exp(log_std) * eps of each block's encode call, with eps one
+    (n, d2) block drawn from the stream."""
+    import hyar.harness.loop as loop
+    monkeypatch.setattr(loop, "ENCODE_BLOCK", 64)
+    tr = Trainer(build_config(overrides=tiny_overrides("/tmp/unused-f")))
+    tr._collect_random()
+    buf, n = tr.buffer, tr.buffer.size
+    table = tr.model.table.copy()
+    twin = np.random.default_rng()
+    twin.bit_generator.state = tr.stream.bit_generator.state
+    tr._encode_warmup()
+    assert np.array_equal(buf.e[:n], table[buf.k[:n]])
+    eps = twin.standard_normal((n, tr.cfg.d2))
+    for i in range(0, n, 64):
+        j = slice(i, min(i + 64, n))
+        mu, ls = tr.model.encode(buf.s[j], buf.k[j], buf.x[j])
+        z = (mu + np.exp(ls) * eps[j]).astype(buf.z.dtype)
+        assert np.array_equal(buf.z[j], z)
+    assert tr.stream.bit_generator.state == twin.bit_generator.state
+
+
 def test_training_keeps_every_gradient_in_its_vars_dtype(monkeypatch) -> None:
     """No float64 value leaks into a float32 training graph: over warm-up,
     pre-training, RL steps with relabelling and bounds refreshes, every
@@ -318,6 +359,23 @@ def test_manifest_lists_every_key_and_hash() -> None:
     assert "checkpoint_format = HYAR-CKPT-3\n" in text
     assert "numeric_policy = float32\n" in text
     assert summary["checkpoint_sha1"] == sha
+
+
+def test_manifest_records_the_source_hash() -> None:
+    """src_sha256 is the sha256 over every *.py file under the directory
+    that holds hyar, in sorted order, each as its relative path, a NUL byte
+    and its bytes (recomputed here by walking that directory)."""
+    _tr, out, _summary = tiny_run()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hyar.__file__)))
+    rels = [os.path.relpath(os.path.join(d, f), root)
+            for d, _dirs, files in os.walk(root)
+            for f in files if f.endswith(".py")]
+    digest = hashlib.sha256()
+    for rel in sorted(rels, key=lambda r: r.split(os.sep)):
+        with open(os.path.join(root, rel), "rb") as fh:
+            digest.update(rel.encode() + b"\0" + fh.read())
+    lines = open(os.path.join(out, "run-manifest.txt")).read().splitlines()
+    assert lines[-1] == f"src_sha256 = {digest.hexdigest()}"
 
 
 def test_evaluate_contract() -> None:

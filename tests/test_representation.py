@@ -107,6 +107,43 @@ def test_nn_decode_resolves_the_repair_spacing_at_k256() -> None:
             == batch.tolist()
 
 
+def test_nn_decode_terms_follow_every_table_write(tmp_path) -> None:
+    """nn_decode_batch keeps the table's terms between calls, yet after an
+    in-place row edit, a repr_train_batch step and a checkpoint load it
+    decodes as an explicit float64 difference scan of the new table (each
+    write changes that scan's answers, so stale terms would show)."""
+    K = 16
+    spec = EnvSpec(env_id="t", state_dim=4, num_discrete=K,
+                   param_dims=(2,) * K, horizon=10)
+    m = ReprModel(spec, d1=6, d2=6, lr=0.5, rng=np.random.default_rng(10))
+    rng = np.random.default_rng(11)
+    queries = rng.normal(size=(2000, 6)).astype(np.float32)
+
+    def edit_row():
+        m.params["table"][3] = queries[0]
+
+    def train_step():
+        s = rng.uniform(-1, 1, size=(64, 4))
+        m.repr_train_batch(s, rng.integers(K, size=64),
+                           rng.uniform(-1, 1, size=(64, 2)), s, rng)
+
+    def load_other():
+        other = ReprModel(spec, d1=6, d2=6, rng=np.random.default_rng(12))
+        path = str(tmp_path / "repr.ckpt")
+        nk.save_checkpoint(path, nk.gather(other.params.slots("repr")))
+        entries = nk.load_checkpoint(path)
+        for slot in m.params.slots("repr"):
+            slot.load(entries)
+        assert np.array_equal(m.table, other.table)
+
+    for write in (edit_row, train_step, load_other):
+        before = m.nn_decode_batch(queries)
+        write()
+        scan = _scan64(m.table, queries)
+        assert not np.array_equal(scan, before), write.__name__
+        assert np.array_equal(m.nn_decode_batch(queries), scan), write.__name__
+
+
 def test_repair_rows_restores_distinctness() -> None:
     m = small_model()
     m.params["table"][1] = m.params["table"][0]

@@ -150,6 +150,9 @@ def _op_calls(rng: np.random.Generator, lead: tuple) -> dict:
         return nk.leaf(a.copy())
     return {
         "affine": lambda t: t.affine(lf(x), lf(w), lf(b)),
+        "affine in_dim=1": lambda t: t.affine(lf(x[..., :1]), lf(w[:, :1]),
+                                              lf(b)),
+        "affine out_dim=1": lambda t: t.affine(lf(x), lf(w[:1]), lf(b[:1])),
         "relu": lambda t: t.relu(lf(x)),
         "tanh": lambda t: t.tanh(lf(x)),
         "clip": lambda t: t.clip(lf(x), -0.5, 0.5),
@@ -169,7 +172,8 @@ def _op_calls(rng: np.random.Generator, lead: tuple) -> dict:
 def test_op_table_covers_every_tape_op() -> None:
     ops = {n for n, f in vars(nk.Tape).items()
            if callable(f) and not n.startswith("_") and n != "backward"}
-    assert ops == set(_op_calls(np.random.default_rng(0), (1,)))
+    assert ops == {n.split()[0] for n in _op_calls(np.random.default_rng(0),
+                                                   (1,))}
 
 
 def test_norecord_tape_matches_forward_and_rejects_backward() -> None:
@@ -179,7 +183,7 @@ def test_norecord_tape_matches_forward_and_rejects_backward() -> None:
     for lead in [(), (1,), (128,)]:
         for name, build in _op_calls(np.random.default_rng(3), lead).items():
             t1, t2 = nk.Tape(), nk.Tape(record=False)
-            if name == "affine" and not lead:
+            if name.startswith("affine") and not lead:
                 for t in (t1, t2):
                     with pytest.raises(nk.ShapeError):
                         build(t)
@@ -190,6 +194,37 @@ def test_norecord_tape_matches_forward_and_rejects_backward() -> None:
             assert len(t1._steps) == 1 and not t2._steps, (name, lead)
     with pytest.raises(nk.TapeUsageError):
         t2.backward(y2)
+
+
+@pytest.mark.parametrize("in_dim,out_dim", [(1, 256), (256, 1), (1, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_width_one_affine_matches_matmul_bit_for_bit(in_dim, out_dim,
+                                                     dtype) -> None:
+    """affine broadcasts the forward product at in_dim 1 and the input
+    gradient at out_dim 1; both give np.matmul's bits on both tapes, with
+    zeros of either sign among the inputs, the bias and the adjoint."""
+    rng = np.random.default_rng(23)
+
+    def draw(*shape):
+        a = rng.normal(size=shape).astype(dtype)
+        a[rng.random(shape) < 0.2] = 0.0
+        a[rng.random(shape) < 0.2] = -0.0
+        return a
+
+    x, w, b, g = (draw(128, in_dim), draw(out_dim, in_dim), draw(out_dim),
+                  draw(128, out_dim))
+    t = nk.Tape()
+    xv, wv, bv = nk.leaf(x.copy()), nk.leaf(w.copy()), nk.leaf(b.copy())
+    y = t.affine(xv, wv, bv)
+    want = np.matmul(x, w.T) + b
+    assert y.data.dtype == want.dtype and y.data.tobytes() == want.tobytes()
+    y_norecord = nk.Tape(record=False).affine(nk.const(x), nk.const(w),
+                                              nk.const(b))
+    assert y_norecord.data.tobytes() == want.tobytes()
+    t.backward(y, seed=g)
+    assert xv.grad.tobytes() == np.matmul(g, w).tobytes()
+    assert wv.grad.tobytes() == np.matmul(g.T, x).tobytes()
+    assert bv.grad.tobytes() == np.sum(g, axis=0).tobytes()
 
 
 def test_stop_vars_never_gain_a_grad() -> None:
