@@ -51,7 +51,7 @@ def main():
         ks, es = [], []
         for _ in range(400):
             ks.append(int(nrng.integers(K)))
-            es.append(model.embed_lookup(ks[-1])
+            es.append(model.table[ks[-1]]
                       + sigma * nrng.standard_normal(model.d1))
         hits = int(np.sum(model.nn_decode_batch(np.array(es)) == ks))
         print(f"  noise sigma {sigma:.2f}: {hits}/400 recovered")

@@ -8,18 +8,19 @@ on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
 written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
 byte and prints one line; the manifest is compared without its src_sha256
-line, which names the code and so differs whenever src/ does.  When the final.ckpt bytes differ, the line also
-says whether the decoded states are identical: each side loads its own
-file with its own src/ in a subprocess and digests every entry as float64,
-as perfbench's state_digest does (the config entry included, since both
-sides write the same --out path).  Then it trains platform-td3 again on
-each side, resumes that run from its own final.ckpt to RESUME_STEPS
-(`train --resume OUT/final.ckpt --steps RESUME_STEPS`, which continues in
-OUT) and compares the four files once more.  Last it prints the bits
-epoch of each side, read from the `bits_epoch` line of its
-run-manifest.txt (a manifest without one is epoch 0), and the src/ line
-count of REV and of the working tree, counted as
-`find src -name '*.py' | xargs cat | wc -l` counts them.
+line, which names the code and so differs whenever src/ does.  When the
+final.ckpt bytes differ, the line also says whether the decoded states are
+identical: each side loads its own file with its own src/ in a subprocess
+and digests every entry as float64, as perfbench's state_digest does (the
+config entry included, since both sides write the same --out path).  Then,
+for platform-td3 and for platform-ddpg (whose single critic gives the
+other checkpoint layout), it trains the run again on each side, resumes it
+from its own final.ckpt to RESUME_STEPS (`train --resume OUT/final.ckpt
+--steps RESUME_STEPS`, which continues in OUT) and compares the four files
+once more: seven legs in all.  Last it prints the bits epoch of each side,
+read from the `bits_epoch` line of its run-manifest.txt (a manifest
+without one is epoch 0), and the src/ line count of REV and of the working
+tree, counted as `find src -name '*.py' | xargs cat | wc -l` counts them.
 
 Exit status 1 means a run failed, or some file differs while both sides
 are of the same bits epoch, whether or not the decoded states match: a
@@ -54,7 +55,7 @@ CONFIGS = {
     "hard_move8-td3": {"env.id": "hard_move", "env.n": 8,
                        "run.algo": "hyar-td3"},
 }
-RESUMED, RESUME_STEPS = "platform-td3", 1200
+RESUMED, RESUME_STEPS = ("platform-td3", "platform-ddpg"), 1200
 DIGEST = """
 import hashlib, sys
 import numpy as np
@@ -138,8 +139,8 @@ def main(argv: list[str]) -> int:
         out = os.path.join(tmp, "out")
         cfg = os.path.join(tmp, "run.cfg")
         runs = [(name, keys, None) for name, keys in CONFIGS.items()]
-        runs.append((f"{RESUMED} resumed to {RESUME_STEPS}",
-                     CONFIGS[RESUMED], RESUME_STEPS))
+        runs += [(f"{name} resumed to {RESUME_STEPS}", CONFIGS[name],
+                  RESUME_STEPS) for name in RESUMED]
         for name, keys, steps in runs:
             old = train(old_src, keys, out, cfg, steps)
             new = train(new_src, keys, out, cfg, steps)

@@ -11,7 +11,7 @@ env states are cast once, where they enter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -82,18 +82,25 @@ class ReplayUsageError(RuntimeError):
     """Sampling more than the buffer holds, or from an empty buffer."""
 
 
+def _column(width: str | None, dtype=None):
+    """A Batch field and buffer column.  width: the ReplayBuffer argument
+    giving its row length (None: a scalar); dtype None: nk.model_dtype()."""
+    return field(metadata={"width": width, "dtype": dtype})
+
+
 @dataclass
 class Batch:
-    """A sampled training batch; arrays are copies, safe to relabel."""
+    """A sampled training batch; arrays are copies, safe to relabel.  Its
+    fields, in order, are the replay buffer's columns."""
 
-    s: np.ndarray
-    k: np.ndarray
-    x: np.ndarray
-    e: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    s_next: np.ndarray
-    done: np.ndarray
+    s: np.ndarray = _column("state_dim")
+    k: np.ndarray = _column(None, np.int64)
+    x: np.ndarray = _column("max_param_dim")
+    e: np.ndarray = _column("d1")
+    z: np.ndarray = _column("d2")
+    r: np.ndarray = _column(None)
+    s_next: np.ndarray = _column("state_dim")
+    done: np.ndarray = _column(None)
 
     def __len__(self) -> int:
         return self.s.shape[0]
@@ -103,41 +110,31 @@ COLUMNS = tuple(f.name for f in fields(Batch))  # buffer arrays, in Batch order
 
 
 class ReplayBuffer:
-    """Preallocated ring buffer of hybrid transitions with executed latents.
-    Every column but k is in nk.model_dtype(); push casts on the way in."""
+    """Preallocated ring buffer of hybrid transitions with executed latents:
+    one array per Batch field, (capacity, width) or (capacity,)."""
 
     def __init__(self, capacity: int, state_dim: int, max_param_dim: int,
                  d1: int, d2: int):
         if capacity < 1:
             raise ConfigError("buffer capacity must be >= 1")
         self.capacity = capacity
-        dt = nk.model_dtype()
-        self.s = np.zeros((capacity, state_dim), dt)
-        self.k = np.zeros(capacity, dtype=np.int64)
-        self.x = np.zeros((capacity, max_param_dim), dt)
-        self.e = np.zeros((capacity, d1), dt)
-        self.z = np.zeros((capacity, d2), dt)
-        self.r = np.zeros(capacity, dt)
-        self.s_next = np.zeros((capacity, state_dim), dt)
-        self.done = np.zeros(capacity, dt)
+        widths = {"state_dim": state_dim, "max_param_dim": max_param_dim,
+                  "d1": d1, "d2": d2}
+        for f in fields(Batch):
+            w = f.metadata["width"]
+            shape = (capacity,) if w is None else (capacity, widths[w])
+            setattr(self, f.name, np.zeros(
+                shape, f.metadata["dtype"] or nk.model_dtype()))
         self.size = 0
         self.cursor = 0
 
-    def push(self, s, k: int, x_pad, e, z, r: float, s_next,
-             done: bool) -> None:
-        """Store one transition at the cursor; e or z None leaves that
-        latent as it is, for a caller that fills it later (the warm-up)."""
+    def push(self, *row) -> None:
+        """Store one transition, its values in COLUMNS order, at the cursor;
+        a None leaves that column's row as it is (the warm-up's latents)."""
         i = self.cursor
-        self.s[i] = s
-        self.k[i] = int(k)
-        self.x[i] = x_pad
-        if e is not None:
-            self.e[i] = e
-        if z is not None:
-            self.z[i] = z
-        self.r[i] = r
-        self.s_next[i] = s_next
-        self.done[i] = 1.0 if done else 0.0
+        for c, v in zip(COLUMNS, row, strict=True):
+            if v is not None:
+                getattr(self, c)[i] = v
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -186,6 +183,9 @@ class ReplayBuffer:
 class AgentNets:
     """Actor, critic(s), their targets, and the matching Adam states."""
 
+    # counters, in checkpoint order, each at its start value
+    COUNTS = {"fault_count": 0, "critic_updates": 0, "actor_updates": 0}
+
     def __init__(self, state_dim: int, d1: int, d2: int, config: AgentConfig,
                  rng: np.random.Generator):
         self.d1 = d1
@@ -203,9 +203,7 @@ class AgentNets:
         self.opt_actor = nk.AdamState(self.actor, lr=config.actor_lr)
         self.opt_critics = [nk.AdamState(c, lr=config.critic_lr)
                             for c in self.critics]
-        self.fault_count = 0
-        self.critic_updates = 0
-        self.actor_updates = 0
+        vars(self).update(self.COUNTS)
 
     # ---- inference -----------------------------------------------------
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import os
 import sys
 
 from .errors import ConfigError
@@ -76,8 +75,6 @@ def _cmd_train(args) -> int:
         if args.config:
             raise ConfigError("--config cannot change a resumed run")
         trainer = Trainer.from_checkpoint(args.resume, overrides)
-        # continue next to the checkpoint, wherever the run was started from
-        trainer.out_dir = os.path.dirname(args.resume) or os.curdir
     else:
         file_values = parse_config_file(args.config) if args.config else None
         trainer = Trainer(build_config(file_values, overrides))

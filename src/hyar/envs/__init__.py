@@ -12,7 +12,10 @@ ENV_IDS = ("platform", "goal", "hard_goal", "catch_point", "hard_move")
 
 
 def make(env_id: str, n: int | None = None) -> HybridEnv:
-    """Instantiate an environment; hard_move requires its actuator count n."""
+    """Instantiate an environment; hard_move requires its actuator count n,
+    and every other env refuses one."""
+    if n is not None and env_id != "hard_move":
+        raise ConfigError(f"env.n is for hard_move only, not {env_id!r}")
     if env_id == "platform":
         return PlatformEnv()
     if env_id == "goal":

@@ -10,10 +10,11 @@ together make resumed runs bit-identical to uninterrupted ones.  The
 warm-up draws only k and x per random step; the latents of its rows come
 after collection, in fixed-size encoder calls over the buffer.
 
-Checkpointed run state is declared once, in Trainer._slots(): each slot
-names its entries and both saves and restores them, so save_checkpoint and
-from_checkpoint are derived from that one list.  The owners declare their
-own parts (ParameterSet/AdamState.slots, AgentNets.slots, ReplayBuffer.slot).
+Checkpointed run state is listed once, in Trainer._slots(), from which
+save_checkpoint and from_checkpoint are derived.  Each piece is declared
+once, by its owner, and its constructor reads the same declaration: the
+Trainer's and AgentNets' COUNTS, the Trainer's FLOATS, the fields of Batch
+(the buffer's columns) and IntervalAccum.COLUMNS (the means of metrics.csv).
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from ..agents import (AgentNets, ReplayBuffer, actor_update, critic_update,
 from ..envs import ConfigError, HybridAction, make
 from ..representation import LatentBounds, ReprModel
 from .config import RunConfig, build_config, parse_config_lines
-from .metrics import EVAL_HEADER, METRICS_HEADER, CsvLog, write_manifest
+from .metrics import (EVAL_HEADER, METRICS_HEADER, CsvLog, IntervalAccum,
+                      write_manifest)
 
 BOUNDS_SAMPLE_CAP = 2000  # latents fed to each percentile refresh
 # Rows per encoder call over the warm-up's rows.  Fixed, because a float32
@@ -103,33 +105,17 @@ def evaluate(nets: AgentNets, repr_model: ReprModel, bounds: LatentBounds,
     return total / episodes, wins / episodes
 
 
-class IntervalAccum:
-    """Sum and count (name_sum, name_n) per mean column of metrics.csv over
-    one eval interval; NAMES is in column order, FIELDS in checkpoint order."""
-
-    NAMES = ("vae", "dyn", "critic", "actor", "cover")
-    FIELDS = tuple(f"{n}_{part}" for n in NAMES for part in ("sum", "n"))
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        for f in self.FIELDS:
-            setattr(self, f, 0.0)
-
-    def add(self, name: str, value: float) -> None:
-        setattr(self, f"{name}_sum", getattr(self, f"{name}_sum") + value)
-        setattr(self, f"{name}_n", getattr(self, f"{name}_n") + 1)
-
-    def mean(self, name: str) -> float:
-        n = getattr(self, f"{name}_n")
-        if n == 0.0:
-            return float("nan")
-        return getattr(self, f"{name}_sum") / n
-
-
 class Trainer:
     """Owns one run end to end: warm-up, pre-train, RL loop, eval, checkpoint."""
+
+    # counters at their start values, also the lowest a checkpoint may hold
+    COUNTS = {"env_step": 0, "episode": 0, "eval_index": 0,
+              "last_eval_step": -1, "episodes_since_repr": 0,
+              "bounds_refreshes": 0, "repr_skipped": 0, "rsc_in_bounds": 0,
+              "rsc_total": 0}
+    # NaN until first set: the dynamics-loss EMA and the last evaluation
+    FLOATS = dict.fromkeys(("moving_dyn", "last_eval_return",
+                            "last_eval_success"), math.nan)
 
     def __init__(self, config: RunConfig):
         config.validate()
@@ -147,20 +133,8 @@ class Trainer:
                                    self.spec.state_dim, self.spec.max_param_dim,
                                    config.d1, config.d2)
         self.stream = np.random.default_rng(derive_seed(config.seed, 3))
-        self.bounds: LatentBounds | None = None
-        self.moving_dyn = float("nan")  # dynamics-loss EMA; NaN: no update yet
-        self.warmed_up = False
-        self.env_step = 0
-        self.episode = 0
-        self.eval_index = 0
-        self.last_eval_step = -1
-        self.last_eval_return = float("nan")
-        self.last_eval_success = float("nan")
-        self.episodes_since_repr = 0
-        self.bounds_refreshes = 0
-        self.repr_skipped = 0
-        self.rsc_in_bounds = 0
-        self.rsc_total = 0
+        self.bounds: LatentBounds | None = None  # set when warm-up ends
+        vars(self).update(self.COUNTS, **self.FLOATS)
         self.acc = IntervalAccum()
         self.ma_returns: deque = deque(maxlen=100)
         self.ma_success: deque = deque(maxlen=100)
@@ -169,6 +143,11 @@ class Trainer:
         self.mark = (time.perf_counter(), self.env_step)
         self.metrics: CsvLog | None = None
         self.evallog: CsvLog | None = None
+
+    @property
+    def warmed_up(self) -> bool:
+        """The warm-up ends by setting the first bounds."""
+        return self.bounds is not None
 
     # ---- pieces --------------------------------------------------------
 
@@ -245,7 +224,6 @@ class Trainer:
         for _ in range(self.cfg.pretrain_batches):
             self._repr_batch()
         self._refresh_bounds()
-        self.warmed_up = True
 
     def _rl_update(self) -> None:
         acfg = self.acfg
@@ -275,7 +253,7 @@ class Trainer:
               for d in (self.ma_returns, self.ma_success)]
         if self.metrics is not None:
             self.metrics.row([self.env_step, self.episode, *ma,
-                              *map(self.acc.mean, IntervalAccum.NAMES)])
+                              *map(self.acc.mean, IntervalAccum.COLUMNS)])
         if self.evallog is not None:
             self.evallog.row([self.env_step, self.last_eval_return,
                               self.last_eval_success])
@@ -377,15 +355,9 @@ class Trainer:
 
     def _slots(self) -> list[nk.Slot]:
         """The run state, in checkpoint order."""
-        scalars = [(self, attr, lo) for attr, lo in (
-            ("env_step", 0), ("episode", 0), ("eval_index", 0),
-            ("last_eval_step", -1), ("episodes_since_repr", 0),
-            ("bounds_refreshes", 0), ("repr_skipped", 0),
-            ("rsc_in_bounds", 0), ("rsc_total", 0))]
-        scalars += [(self.nets, attr, 0) for attr in
-                    ("fault_count", "critic_updates", "actor_updates")]
-        scalars += [(self, attr, None) for attr in
-                    ("moving_dyn", "last_eval_return", "last_eval_success")]
+        scalars = ([(self, a, lo) for a, lo in self.COUNTS.items()]
+                   + [(self.nets, a, lo) for a, lo in self.nets.COUNTS.items()]
+                   + [(self, a, None) for a in self.FLOATS])
         return [*self.model.params.slots("repr"),
                 *self.model.opt.slots("repr_opt"),
                 *self.nets.slots(),
@@ -407,6 +379,8 @@ class Trainer:
     @classmethod
     def from_checkpoint(cls, path: str,
                         overrides: dict | None = None) -> "Trainer":
+        """The run saved at path, to write next to it.  A malformed file,
+        its config entry included, raises CheckpointError."""
         fixed = sorted(set(overrides or {}) - set(RESUME_KEYS))
         if fixed:
             raise ConfigError(f"a resume may set only {RESUME_KEYS}, not {fixed}")
@@ -415,15 +389,19 @@ class Trainer:
         if epoch != nk.BITS_EPOCH:
             raise nk.CheckpointError(f"{EPOCH_ENTRY}: {epoch!r}, but this "
                                      f"code makes epoch {nk.BITS_EPOCH}")
-        values = parse_config_lines(
-            _utf8_str(entries, CONFIG_ENTRY).splitlines(), where=path)
-        budget = build_config(values).total_env_steps
+        try:
+            values = parse_config_lines(
+                _utf8_str(entries, CONFIG_ENTRY).splitlines(), where=path)
+            saved = build_config(values)
+            saved.validate()
+        except ValueError as exc:
+            raise nk.CheckpointError(f"{CONFIG_ENTRY}: {exc}") from exc
         cfg = build_config(values, overrides)
-        if cfg.total_env_steps < budget:
-            raise ConfigError(
-                f"a resume cannot lower run.total_env_steps below {budget}")
+        if cfg.total_env_steps < saved.total_env_steps:
+            raise ConfigError("a resume cannot lower run.total_env_steps "
+                              f"below {saved.total_env_steps}")
         tr = cls(cfg)
+        tr.out_dir = os.path.dirname(path) or os.curdir
         for slot in tr._slots():
             slot.load(entries)
-        tr.warmed_up = True
         return tr

@@ -1,4 +1,4 @@
-"""CSV metrics log, evaluation log, and the run manifest."""
+"""Interval means, CSV metrics log, evaluation log, and the run manifest."""
 from __future__ import annotations
 
 import hashlib
@@ -7,8 +7,36 @@ from pathlib import Path
 
 from .. import numkit as nk
 
-METRICS_HEADER = ("env_step,episode,return_ma100,success_ma100,loss_vae,"
-                  "loss_dyn,critic_loss,actor_loss,bound_coverage")
+
+class IntervalAccum:
+    """Sum and count (name_sum, name_n) per mean column of metrics.csv over
+    one eval interval; COLUMNS (name -> column) is in column order, FIELDS
+    in checkpoint order."""
+
+    COLUMNS = {"vae": "loss_vae", "dyn": "loss_dyn", "critic": "critic_loss",
+               "actor": "actor_loss", "cover": "bound_coverage"}
+    FIELDS = tuple(f"{n}_{part}" for n in COLUMNS for part in ("sum", "n"))
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        for f in self.FIELDS:
+            setattr(self, f, 0.0)
+
+    def add(self, name: str, value: float) -> None:
+        setattr(self, f"{name}_sum", getattr(self, f"{name}_sum") + value)
+        setattr(self, f"{name}_n", getattr(self, f"{name}_n") + 1)
+
+    def mean(self, name: str) -> float:
+        n = getattr(self, f"{name}_n")
+        if n == 0.0:
+            return float("nan")
+        return getattr(self, f"{name}_sum") / n
+
+
+METRICS_HEADER = ",".join(("env_step", "episode", "return_ma100",
+                           "success_ma100", *IntervalAccum.COLUMNS.values()))
 EVAL_HEADER = "env_step,mean_return,success_rate"
 
 

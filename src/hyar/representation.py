@@ -137,12 +137,6 @@ class ReprModel:
     def table(self) -> np.ndarray:
         return self.params["table"]
 
-    def embed_lookup(self, k: int) -> np.ndarray:
-        K = self.env_spec.num_discrete
-        if not 0 <= int(k) < K:
-            raise IndexError(f"discrete action {k} out of range [0, {K})")
-        return self.table[int(k)].copy()
-
     def nn_decode_batch(self, e: np.ndarray) -> np.ndarray:
         """Index of the nearest table row for each row of e (B, d1); ties go
         to the smallest index.  One float64 GEMM scores row k as

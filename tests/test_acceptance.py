@@ -175,7 +175,7 @@ def test_criterion_3_invariant_suite() -> None:
 
     # Embedding roundtrip is exact for every k.
     round_bad = int(np.sum(model.nn_decode_batch(
-        np.array([model.embed_lookup(k) for k in range(12)])) != np.arange(12)))
+        model.table[np.arange(12)]) != np.arange(12)))
 
     # LSC nesting on 50 random datasets and the c = 100 min/max identity.
     nest_bad = minmax_bad = 0

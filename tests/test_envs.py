@@ -42,6 +42,11 @@ def rollout(env, seed: int, rng_seed: int = 0):
             return np.array(states[:-1]), np.array(states), rewards, dones
 
 
+def make_with_n(env_id: str, n: int):
+    """envs.make, with actuator count n where the env takes one."""
+    return envs.make(env_id, n if env_id == "hard_move" else None)
+
+
 def test_hard_move_displacement_matches_oracle_exhaustive() -> None:
     for n in (1, 2, 4, 8):
         rng = np.random.default_rng(n)
@@ -75,8 +80,8 @@ def test_hard_move_env_step_and_reward() -> None:
 
 def test_determinism_bit_exact_all_envs() -> None:
     for env_id in envs.ENV_IDS:
-        env_a = envs.make(env_id, n=4)
-        env_b = envs.make(env_id, n=4)
+        env_a = make_with_n(env_id, 4)
+        env_b = make_with_n(env_id, 4)
         sa, fa, ra, da = rollout(env_a, seed=11, rng_seed=5)
         sb, fb, rb, db = rollout(env_b, seed=11, rng_seed=5)
         assert np.array_equal(fa, fb), env_id
@@ -85,7 +90,7 @@ def test_determinism_bit_exact_all_envs() -> None:
 
 def test_states_finite_and_bounded() -> None:
     for env_id in envs.ENV_IDS:
-        env = envs.make(env_id, n=6)
+        env = make_with_n(env_id, 6)
         for seed in range(20):
             _, full, _, _ = rollout(env, seed=seed, rng_seed=seed + 100)
             assert np.isfinite(full).all(), env_id
@@ -95,7 +100,7 @@ def test_states_finite_and_bounded() -> None:
 def test_horizon_and_success_implies_done() -> None:
     rng = np.random.default_rng(0)
     for env_id in envs.ENV_IDS:
-        env = envs.make(env_id, n=4)
+        env = make_with_n(env_id, 4)
         spec = env.spec()
         for seed in range(30):
             env.reset(seed)
@@ -126,6 +131,9 @@ def test_env_specs_match_contract() -> None:
         envs.make("lunar_lander")
     with pytest.raises(envs.ConfigError):
         envs.make("hard_move")  # n missing
+    for env_id in set(envs.ENV_IDS) - {"hard_move"}:
+        with pytest.raises(envs.ConfigError, match="env.n"):
+            envs.make(env_id, 8)  # n given to an env without actuators
 
 
 def test_usage_errors_and_clamping() -> None:
@@ -147,7 +155,7 @@ def test_usage_errors_and_clamping() -> None:
     assert penv.clamp_count == 0
     # a NaN parameter is rejected in every env; +-inf clamps and is counted
     for env_id in envs.ENV_IDS:
-        nenv = envs.make(env_id, 4)
+        nenv = make_with_n(env_id, 4)
         nenv.reset(0)
         k = int(np.argmax(nenv.spec().param_dims))
         width = nenv.spec().param_dims[k]

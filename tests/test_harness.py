@@ -19,6 +19,7 @@ from hyar.errors import ConfigError
 from hyar.harness import (METRICS_HEADER, CsvLog, RunConfig, Trainer,
                           build_config, derive_seed, evaluate,
                           parse_config_lines)
+from hyar.agents import AgentNets
 from hyar.harness.config import KEYS
 from hyar.envs import make
 
@@ -334,6 +335,21 @@ def test_update_and_refresh_accounting() -> None:
     assert 0 <= tr.rsc_in_bounds <= tr.rsc_total
 
 
+def test_every_number_a_fresh_trainer_holds_is_a_declared_counter() -> None:
+    """Each int or float attribute of a fresh Trainer is in COUNTS, at its
+    start value, or in FLOATS, NaN; AgentNets' are its COUNTS (beside its
+    latent widths d1 and d2)."""
+    tr = Trainer(build_config(overrides=tiny_overrides("/tmp/unused-n")))
+    numbers = {a for a, v in vars(tr).items() if isinstance(v, (int, float))}
+    assert numbers == set(Trainer.COUNTS) | set(Trainer.FLOATS)
+    assert {a: getattr(tr, a) for a in Trainer.COUNTS} == Trainer.COUNTS
+    assert all(np.isnan(getattr(tr, a)) for a in Trainer.FLOATS)
+    nets = {a: v for a, v in vars(tr.nets).items()
+            if isinstance(v, (int, float)) and a not in ("d1", "d2")}
+    assert nets == AgentNets.COUNTS
+    assert not tr.warmed_up
+
+
 def test_run_outputs_and_metrics_marks() -> None:
     tr, out, summary = tiny_run()
     for name in ("metrics.csv", "eval.csv", "final.ckpt", "run-manifest.txt"):
@@ -411,14 +427,24 @@ def test_trainer_checkpoint_roundtrip(tmp_path) -> None:
     assert (back.stream.standard_normal(4).tolist()
             == tr.stream.standard_normal(4).tolist())
 
-    # save, load, save again: the same file, so no piece of the run state
-    # is dropped; the counters that stay 0 in a tiny run are set first
+    # every declared counter, set to a value no tiny run gives it, comes
+    # back; then save, load, save again gives the same file, so no piece of
+    # the run state is dropped
     ddpg = Trainer(build_config(overrides={
         **tiny_overrides(str(tmp_path / "ddpg"), total=400),
         "run.algo": "hyar-ddpg"}))
     ddpg.run()
-    ddpg.repr_skipped, ddpg.nets.fault_count = 2, 3
+    counters = ([(ddpg, a) for a in [*Trainer.COUNTS, *Trainer.FLOATS]]
+                + [(ddpg.nets, a) for a in AgentNets.COUNTS])
+    for i, (owner, a) in enumerate(counters):
+        setattr(owner, a, i + 0.25 if a in Trainer.FLOATS else 1000 + i)
     first, again = str(tmp_path / "first.ckpt"), str(tmp_path / "again.ckpt")
+    ddpg.save_checkpoint(first)
+    back = Trainer.from_checkpoint(first)
+    for owner, a in counters:
+        loaded = getattr(back.nets if owner is ddpg.nets else back, a)
+        assert loaded == getattr(owner, a), a
+        assert type(loaded) is type(getattr(owner, a)), a
     for trainer, n_entries in ((tr, 89), (ddpg, 74)):
         trainer.save_checkpoint(first)
         Trainer.from_checkpoint(first).save_checkpoint(again)
@@ -453,7 +479,7 @@ def test_resume_after_killed_resume_matches_uninterrupted(tmp_path) -> None:
                                                   total=800))).run()
     Trainer(build_config(overrides=tiny_overrides(part, seed=5,
                                                   total=400))).run()
-    ckpt = str(tmp_path / "at400.ckpt")
+    ckpt = os.path.join(part, "at400.ckpt")  # a resume writes next to it
     shutil.copyfile(os.path.join(part, "final.ckpt"), ckpt)
     Trainer.from_checkpoint(ckpt, {"run.total_env_steps": 600}).run()
     Trainer.from_checkpoint(ckpt, {"run.total_env_steps": 800}).run()
@@ -511,6 +537,36 @@ def test_resume_writes_next_to_its_checkpoint(tmp_path, monkeypatch) -> None:
     for name in ("metrics.csv", "eval.csv"):
         assert ((dirs["a"] / "p0" / name).read_bytes()
                 == (dirs["c"] / "p0" / name).read_bytes()), name
+
+
+def test_api_resume_writes_next_to_its_checkpoint(tmp_path,
+                                                 monkeypatch) -> None:
+    """Trainer.from_checkpoint, with no CLI around it, continues a run with
+    a relative run.out_dir in the checkpoint's directory."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    Trainer(build_config(overrides=tiny_overrides("p0", seed=5,
+                                                  total=400))).run()
+    monkeypatch.chdir(tmp_path / "b")
+    tr = Trainer.from_checkpoint(os.path.join("..", "a", "p0", "final.ckpt"),
+                                 {"run.total_env_steps": 600})
+    assert tr.cfg.out_dir == "p0"  # the embedded config is kept as it is
+    tr.run()
+    assert not (tmp_path / "b" / "p0").exists()
+    rows = (tmp_path / "a" / "p0" / "eval.csv").read_text().splitlines()
+    assert [int(r.split(",")[0]) for r in rows[1:]] == [400, 600]
+
+
+def test_env_n_is_refused_for_an_env_without_actuators(tmp_path) -> None:
+    """env.n belongs to hard_move: given to another env it is a config
+    error (exit 2), not silently ignored, and nothing is written."""
+    with pytest.raises(ConfigError, match="env.n"):
+        build_config(overrides={"env.id": "platform", "env.n": 8}).validate()
+    out = tmp_path / "never"
+    assert cli_main(["train", "--env", "platform", "--n", "8",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_rerun_bit_identical(tmp_path) -> None:
@@ -684,6 +740,13 @@ def _set(name: str, value):
         name, value(d) if callable(value) else value))
 
 
+def _config_line(line: str):
+    """Append one line to the embedded config text; of two lines with the
+    same key, the later one wins."""
+    return _set("config", lambda d: np.frombuffer(
+        bytes(d["config"]) + line.encode("utf-8") + b"\n", np.uint8))
+
+
 CAPACITY = RunConfig().agent_config().buffer_capacity
 
 
@@ -744,6 +807,11 @@ CAPACITY = RunConfig().agent_config().buffer_capacity
                       lambda d: d["rng.stream"].astype(np.float64)),
                  id="rng-stored-as-f8"),
     pytest.param(_set("rng.stream", _rng_word), id="rng-word-overflow"),
+    # the embedded config is part of the checkpoint: a bad one is malformed
+    pytest.param(_config_line("run.nosuch = 1"), id="config-unknown-key"),
+    pytest.param(_config_line("run.seed = x"), id="config-seed-not-int"),
+    pytest.param(_config_line("repr.d1 = 0"), id="config-d1-zero"),
+    pytest.param(_config_line("env.id = nosuch"), id="config-unknown-env"),
 ])
 def test_cli_eval_malformed_checkpoint_exits_4(tmp_path, capsys, corrupt) -> None:
     """Every malformed checkpoint is an I/O error (exit 4), never a traceback
@@ -841,14 +909,14 @@ MAY_HOLD_NONFINITE = ("state.", "rng.")
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_edited_entry_value_loads_or_raises_checkpoint_error(data) -> None:
-    """One value of any entry but config set to any float (any byte in the
+    """One value of any entry set to any float (any byte in the config and
     rng.* texts): from_checkpoint gives a Trainer or raises CheckpointError,
     and must raise when the value is non-finite in a parameter, moment,
     buffer or bounds entry."""
     _tr, out, _summary = tiny_run()
     entries = nk.load_checkpoint(os.path.join(out, "final.ckpt"))
     name = data.draw(st.sampled_from(sorted(
-        n for n, a in entries.items() if n != "config" and a.size)))
+        n for n, a in entries.items() if a.size)))
     i = data.draw(st.integers(0, entries[name].size - 1))
     nonfinite = st.sampled_from([np.nan, np.inf, -np.inf])
     value = data.draw(st.integers(0, 255) if entries[name].dtype == np.uint8

@@ -28,21 +28,11 @@ def random_batch(model: ReprModel, n: int, rng: np.random.Generator):
     return s, k, x, s_next
 
 
-def test_embed_lookup_and_roundtrip() -> None:
+def test_table_rows_decode_to_their_index() -> None:
     m = small_model()
     assert np.abs(m.table).max() < 1.0  # U(-1,1) init
     for k in range(5):
-        e = m.embed_lookup(k)
-        assert np.array_equal(e, m.table[k])
-        assert m.nn_decode_batch(e[None])[0] == k
-    with pytest.raises(IndexError):
-        m.embed_lookup(5)
-    with pytest.raises(IndexError):
-        m.embed_lookup(-1)
-    # lookup returns a copy, not a live view
-    e = m.embed_lookup(0)
-    e[:] = 99.0
-    assert m.table[0, 0] != 99.0
+        assert m.nn_decode_batch(m.table[k][None])[0] == k
 
 
 def test_nn_decode_examples_and_tiebreak() -> None:
