@@ -9,9 +9,11 @@
 # fixes glibc's malloc thresholds itself, so freed temporaries stay mapped
 # instead of going back to the OS and faulting in again.  Neither setting
 # changes the bits of metrics.csv/eval.csv.  det-b-full resumes det-b-half's checkpoint, so it
-# starts only once det-b-half has succeeded.  Budget: about 5.6M env steps at
-# 40-75 steps/s per run, so roughly a day one run at a time and about half a
-# day two at a time on a 2-core box.
+# starts only once det-b-half has succeeded.  Budget: about 5.6M env steps.
+# The epoch-2 det-* runs logged 182-212 RL steps/s each and their epoch-3
+# re-makes 176-193 (20k-step platform runs, two at a time on a shared
+# 2-core box, one BLAS thread); no 200k-300k-step run of the current code
+# has been timed, so the batch's wall time is unverified.
 set -u
 cd "$(dirname "$0")/.." || exit 1
 PY="${PYTHON:-python3}"

@@ -13,14 +13,15 @@ final.ckpt bytes differ, the line also says whether the decoded states are
 identical: each side loads its own file with its own src/ in a subprocess
 and digests every entry as float64, as perfbench's state_digest does (the
 config entry included, since both sides write the same --out path).  Then,
-for platform-td3 and for platform-ddpg (whose single critic gives the
-other checkpoint layout), it trains the run again on each side, resumes it
-from its own final.ckpt to RESUME_STEPS (`train --resume OUT/final.ckpt
---steps RESUME_STEPS`, which continues in OUT) and compares the four files
-once more: seven legs in all.  Last it prints the bits epoch of each side,
-read from the `bits_epoch` line of its run-manifest.txt (a manifest
-without one is epoch 0), and the src/ line count of REV and of the working
-tree, counted as `find src -name '*.py' | xargs cat | wc -l` counts them.
+for platform-td3 and for platform-ddpg (a critic stack of one, and an
+actor step after every critic step), it trains the run again on each side,
+resumes it from its own final.ckpt to RESUME_STEPS (`train --resume
+OUT/final.ckpt --steps RESUME_STEPS`, which continues in OUT) and compares
+the four files once more: seven legs in all.  Last it prints the bits
+epoch of each side, read from the `bits_epoch` line of its
+run-manifest.txt (a manifest without one is epoch 0), and the src/ line
+count of REV and of the working tree, counted as `find src -name '*.py' |
+xargs cat | wc -l` counts them.
 
 Exit status 1 means a run failed, or some file differs while both sides
 are of the same bits epoch, whether or not the decoded states match: a

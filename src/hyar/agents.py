@@ -181,7 +181,7 @@ class ReplayBuffer:
 
 
 class AgentNets:
-    """Actor, critic(s), their targets, and the matching Adam states."""
+    """Actor, critic stack (a slice per critic), targets, Adam states."""
 
     # counters, in checkpoint order, each at its start value
     COUNTS = {"fault_count": 0, "critic_updates": 0, "actor_updates": 0}
@@ -195,14 +195,16 @@ class AgentNets:
         lat = d1 + d2
         self.actor = nk.init_params([state_dim, HIDDEN, HIDDEN, lat], rng,
                                     self.dtype)
-        self.critics = [nk.init_params([state_dim + lat, HIDDEN, HIDDEN, 1],
-                                       rng, self.dtype)
-                        for _ in range(config.num_critics)]
+        qs = [nk.init_params([state_dim + lat, HIDDEN, HIDDEN, 1], rng)
+              for _ in range(config.num_critics)]  # drawn one by one
+        self.critic = nk.ParameterSet({n: np.stack([q[n] for q in qs])
+                                       for n in qs[0].names()}, self.dtype)
+        # stop Vars over critic 0's slices: Q_1, for the actor loss
+        self.q1 = {n: nk.const(self.critic[n][0]) for n in self.critic.names()}
         self.target_actor = self.actor.copy()
-        self.target_critics = [c.copy() for c in self.critics]
+        self.target_critic = self.critic.copy()
         self.opt_actor = nk.AdamState(self.actor, lr=config.actor_lr)
-        self.opt_critics = [nk.AdamState(c, lr=config.critic_lr)
-                            for c in self.critics]
+        self.opt_critic = nk.AdamState(self.critic, lr=config.critic_lr)
         vars(self).update(self.COUNTS)
 
     # ---- inference -----------------------------------------------------
@@ -214,29 +216,23 @@ class AgentNets:
         x = nk.const(np.asarray(s, dtype=self.dtype))
         return t.tanh(nk.mlp_apply(t, params.frozen_vars(), x)).data
 
-    def critic_value(self, i: int, s: np.ndarray, lat: np.ndarray,
-                     target: bool = False) -> np.ndarray:
-        """Q_i(s, latent action) -> (B,)."""
-        params = self.target_critics[i] if target else self.critics[i]
+    def critic_values(self, s: np.ndarray, lat: np.ndarray,
+                      target: bool = False) -> np.ndarray:
+        """Every Q_i(s, latent action) -> (num_critics, B)."""
+        params = self.target_critic if target else self.critic
         sa = nk.const(np.concatenate([s, lat], axis=1))
         return nk.mlp_apply(nk.Tape(record=False), params.frozen_vars(),
-                            sa).data[:, 0]
+                            sa).data[..., 0]
 
     def sync_targets(self, tau_actor: float, tau_critic: float) -> None:
         nk.soft_update(self.target_actor, self.actor, tau_actor)
-        for tc, c in zip(self.target_critics, self.critics):
-            nk.soft_update(tc, c, tau_critic)
+        nk.soft_update(self.target_critic, self.critic, tau_critic)
 
     def slots(self) -> list[nk.Slot]:
-        """Checkpoint slots of every parameter set and Adam state."""
-        out = (self.actor.slots("actor")
-               + self.target_actor.slots("target_actor")
-               + self.opt_actor.slots("opt_actor"))
-        for i, (c, tc, oc) in enumerate(zip(self.critics, self.target_critics,
-                                            self.opt_critics)):
-            out += (c.slots(f"critic{i}") + tc.slots(f"target_critic{i}")
-                    + oc.slots(f"opt_critic{i}"))
-        return out
+        """Checkpoint slots, each entry prefixed by its attribute's name."""
+        return [slot for name in ("actor", "target_actor", "opt_actor",
+                                  "critic", "target_critic", "opt_critic")
+                for slot in getattr(self, name).slots(name)]
 
 
 # ---- action selection and decoding ------------------------------------
@@ -326,15 +322,18 @@ def relabel_batch(repr_model: ReprModel, batch: Batch, moving_dyn_loss: float,
 # ---- critic and actor losses (taped, shared by updates and gradcheck) --
 
 
-def critic_loss_grads(nets: AgentNets, i: int, s: np.ndarray, lat: np.ndarray,
+def critic_loss_grads(nets: AgentNets, s: np.ndarray, lat: np.ndarray,
                       y: np.ndarray):
-    """(loss, critic i's .grad) of the mean squared TD error against y."""
+    """(float64 losses (num_critics,), the stack's .grad): each critic's mean
+    squared TD error against y and, in its slice, that mean's gradient.
+    Seeding the all-critic mean with num_critics gives each the bits of its
+    own mean's gradient: n / (n * B) rounds as 1 / B does."""
     t = nk.Tape()
     sa = nk.const(np.concatenate([s, lat], axis=1))
-    q = nk.mlp_apply(t, nets.critics[i].grad_vars(), sa)
-    loss = t.mean(t.sq_dist(q, y[:, None]))
-    t.backward(loss)
-    return float(loss.data), nets.critics[i].grad
+    q = nk.mlp_apply(t, nets.critic.grad_vars(), sa)
+    sq = t.sq_dist(q, y[:, None])
+    t.backward(t.mean(sq), seed=np.float64(len(sq.data)))
+    return np.mean(sq.data, axis=-1).astype(np.float64), nets.critic.grad
 
 
 def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
@@ -344,7 +343,7 @@ def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
     raw = t.tanh(nk.mlp_apply(t, nets.actor.grad_vars(), nk.const(s)))
     lat = t.rescale(raw, bounds.scale, bounds.shift)
     sa = t.concat([nk.const(s), lat])
-    q = nk.mlp_apply(t, nets.critics[0].frozen_vars(), sa)
+    q = nk.mlp_apply(t, nets.q1, sa)
     loss = t.neg_mean(q)
     t.backward(loss)
     return float(loss.data), nets.actor.grad
@@ -362,26 +361,22 @@ def td_targets(nets: AgentNets, batch: Batch, bounds: LatentBounds,
                       -config.target_noise_clip, config.target_noise_clip)
         raw = np.clip(raw + eps.astype(raw.dtype), -1.0, 1.0)
     lat = bounds.rescale(raw)
-    qs = [nets.critic_value(j, batch.s_next, lat, target=True)
-          for j in range(len(nets.target_critics))]
-    return batch.r + config.gamma * (1.0 - batch.done) * np.minimum.reduce(qs)
+    q = np.minimum.reduce(nets.critic_values(batch.s_next, lat, target=True))
+    return batch.r + config.gamma * (1.0 - batch.done) * q
 
 
 def critic_update(nets: AgentNets, batch: Batch, bounds: LatentBounds,
                   rng: np.random.Generator | None = None) -> float:
-    """One Adam step per critic on the clipped double-Q objective.
+    """One Adam step of the critic stack on the clipped double-Q objective.
 
-    Returns the mean critic loss (pre-update).  A critic whose gradient is
-    not finite keeps its parameters, and nets.fault_count counts it.
+    Returns the mean critic loss (pre-update).  If any critic's gradient is
+    not finite, no critic moves, and nets.fault_count counts every critic.
     """
     y = td_targets(nets, batch, bounds, rng)
     lat = np.concatenate([batch.e, batch.z], axis=1)
-    losses = []
-    for i in range(len(nets.critics)):
-        loss, grads = critic_loss_grads(nets, i, batch.s, lat, y)
-        if not nk.adam_step(nets.critics[i], grads, nets.opt_critics[i]):
-            nets.fault_count += 1
-        losses.append(loss)
+    losses, grads = critic_loss_grads(nets, batch.s, lat, y)
+    if not nk.adam_step(nets.critic, grads, nets.opt_critic):
+        nets.fault_count += len(losses)
     nets.critic_updates += 1
     return float(np.mean(losses))
 

@@ -15,11 +15,12 @@ import contextlib
 import numpy as np
 
 TRAIN_DTYPE = np.dtype(np.float32)
-# Bump it when a change alters the bits of metrics.csv/eval.csv: runs and
-# checkpoints of another epoch are runs of other code.  Epoch 1: one latent
-# map, the batched relabel redraws and the float64 GEMM decode.  Epoch 2:
-# the warm-up encodes its stored rows in fixed blocks after collection.
-BITS_EPOCH = 2
+# Bump it when a change alters the bits of metrics.csv/eval.csv or of the
+# checkpoint: runs and checkpoints of another epoch are runs of other code.
+# Epoch 1: one latent map, the batched relabel redraws and the float64 GEMM
+# decode.  Epoch 2: the warm-up encodes its stored rows in fixed blocks after
+# collection.  Epoch 3 (epoch 2's CSV bytes): one stacked critic.* entry set.
+BITS_EPOCH = 3
 _active = [TRAIN_DTYPE]
 
 

@@ -124,18 +124,22 @@ class Tape:
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:
         """y = x @ w.T + b with x shaped (batch, in_dim) and w shaped
-        (out_dim, in_dim).  The forward product when in_dim is 1 and the
-        input gradient when out_dim is 1 broadcast instead of calling BLAS
-        (_dot)."""
+        (out_dim, in_dim); for a stack of n layers w is (n, out_dim, in_dim),
+        b (n, out_dim) and x (n, batch, in_dim), or shared (batch, in_dim) if
+        it needs no gradient, and each slice has its 2-D layer's bits.  The
+        forward product when in_dim is 1 and the input gradient when out_dim
+        is 1 broadcast instead of calling BLAS (_dot)."""
         xd, wd = x.data, w.data
-        if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        if (xd.ndim not in (2, wd.ndim) or xd.shape[-1] != wd.shape[-1]
+                or xd.ndim > 2 and xd.shape[:-2] != wd.shape[:-2]
+                or xd.ndim < wd.ndim and self.record and not x.stop):
             raise ShapeError(f"affine: input {xd.shape} vs weight {wd.shape}")
-        out = Var(_dot(xd, wd.T) + b.data)
+        out = Var(_dot(xd, wd.swapaxes(-1, -2)) + b.data[..., None, :])
         if self.record:
             def back(g, x=x, w=w, b=b, xd=xd, wd=wd):
                 if not w.stop:
-                    _acc_out(w, np.matmul, g.T, xd)
-                    _acc_out(b, np.sum, g, axis=0)
+                    _acc_out(w, np.matmul, g.swapaxes(-1, -2), xd)
+                    _acc_out(b, np.sum, g, axis=-2)
                 if not x.stop:
                     _acc(x, _dot(g, wd))
             self._steps.append((out, back))

@@ -27,6 +27,21 @@ def small_setup(seed: int = 0, algo: str = "td3", **cfg_kw):
     return spec, cfg, model, nets
 
 
+def entry_views(params: nk.ParameterSet, flat: np.ndarray) -> dict:
+    """name -> the slice of flat (in params' layout) holding that entry."""
+    out, off = {}, 0
+    for name in params.names():
+        out[name] = flat[off:off + params[name].size].reshape(params[name].shape)
+        off += params[name].size
+    return out
+
+
+def as_float32(batch: Batch) -> Batch:
+    """The batch with the float32 float columns a replay buffer holds."""
+    return Batch(*(v.astype(np.float32) if v.dtype.kind == "f" else v
+                   for v in vars(batch).values()))
+
+
 def consistent_batch(spec, model, B: int, rng) -> Batch:
     """Transitions whose stored e is exactly the current table row."""
     s = rng.normal(size=(B, spec.state_dim))
@@ -371,13 +386,13 @@ def test_td_targets_clip_min_and_done_mask() -> None:
     batch.done[:4] = 1.0
     b = identity_bounds()
     # lift target critic 1 by a constant: the min must keep following critic 0
-    nets.target_critics[1] = nets.target_critics[0].copy()
-    nets.target_critics[1]["b2"][...] += 1.0
+    for name in nets.target_critic.names():
+        nets.target_critic[name][1] = nets.target_critic[name][0]
+    nets.target_critic["b2"][1] += 1.0
     y = td_targets(nets, batch, b)
     raw = nets.actor_raw(batch.s_next, target=True)
     lat = b.rescale(raw)
-    q0 = nets.critic_value(0, batch.s_next, lat, target=True)
-    q1 = nets.critic_value(1, batch.s_next, lat, target=True)
+    q0, q1 = nets.critic_values(batch.s_next, lat, target=True)
     assert np.array_equal(y, batch.r + cfg.gamma * (1.0 - batch.done) * q0)
     assert np.all(y <= batch.r + cfg.gamma * (1.0 - batch.done) * q0 + 1e-15)
     assert np.all(y <= batch.r + cfg.gamma * (1.0 - batch.done) * q1 + 1e-15)
@@ -390,8 +405,8 @@ def test_critic_update_reports_premove_loss() -> None:
     rng = np.random.default_rng(23)
     batch = consistent_batch(spec, model, 16, rng)
     lat = np.concatenate([batch.e, batch.z], axis=1)
-    expected = np.mean([np.mean((batch.r - nets.critic_value(i, batch.s, lat)) ** 2)
-                        for i in range(2)])
+    expected = np.mean([np.mean((batch.r - q) ** 2)
+                        for q in nets.critic_values(batch.s, lat)])
     loss = critic_update(nets, batch, identity_bounds())
     assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -408,15 +423,26 @@ def test_critic_update_losses_shrink() -> None:
 
 
 def test_critic_update_numeric_fault_skips() -> None:
-    spec, cfg, model, nets = small_setup()
-    rng = np.random.default_rng(25)
-    batch = consistent_batch(spec, model, 8, rng)
-    batch.r[0] = np.nan
-    before = [c.flat.copy() for c in nets.critics]
-    critic_update(nets, batch, identity_bounds())
-    assert nets.fault_count == 2
-    for prev, c in zip(before, nets.critics):
-        assert np.array_equal(prev, c.flat)
+    """A non-finite gradient, in both critics (a NaN reward) or in critic 1
+    alone (a NaN output bias), moves no critic and no Adam state, and
+    counts one fault per critic."""
+    for poison_reward in (True, False):
+        spec, cfg, model, nets = small_setup()
+        rng = np.random.default_rng(25)
+        batch = consistent_batch(spec, model, 8, rng)
+        if poison_reward:
+            batch.r[0] = np.nan
+        else:
+            nets.critic["b2"][1] = np.nan
+        state = (nets.critic.flat, nets.opt_critic.m, nets.opt_critic.v)
+        before = [a.copy() for a in state]
+        critic_update(nets, batch, identity_bounds())
+        assert nets.fault_count == 2 and nets.opt_critic.t == 0
+        for prev, now in zip(before, state):
+            assert np.array_equal(prev, now, equal_nan=True)
+        grads = entry_views(nets.critic, nets.critic.grad).values()
+        finite = [all(np.isfinite(g[i]).all() for g in grads) for i in range(2)]
+        assert finite == [not poison_reward, False]
 
 
 @nk.float64_models()  # tolerance assumes float64
@@ -426,16 +452,42 @@ def test_critic_gradients_match_finite_differences() -> None:
     batch = consistent_batch(spec, model, 8, rng)
     y = td_targets(nets, batch, identity_bounds())
     lat = np.concatenate([batch.e, batch.z], axis=1)
-    _loss, grads = critic_loss_grads(nets, 0, batch.s, lat, y)
+    _losses, grads = critic_loss_grads(nets, batch.s, lat, y)
 
     def loss_fn() -> float:
-        loss, _ = critic_loss_grads(nets, 0, batch.s, lat, y)
-        return loss
+        return float(np.sum(critic_loss_grads(nets, batch.s, lat, y)[0]))
 
-    report = nk.finite_diff_check(loss_fn, nets.critics[0], grads,
+    report = nk.finite_diff_check(loss_fn, nets.critic, grads,
                                   samples_per_entry=5,
                                   rng=np.random.default_rng(0))
     assert report["max"] < 1e-4
+
+
+@pytest.mark.parametrize("algo", ["td3", "ddpg"])
+def test_stacked_critic_loss_matches_each_critic_alone(algo) -> None:
+    """critic_loss_grads gives each slice of the float32 critic stack the
+    loss and gradient bytes of a single critic's graph (the mean over the
+    batch, seeded with 1), run on a 2-D ParameterSet cut from that slice."""
+    spec, cfg, model, nets = small_setup(seed=12, algo=algo)
+    batch = as_float32(consistent_batch(spec, model, 128,
+                                        np.random.default_rng(27)))
+    lat = np.concatenate([batch.e, batch.z], axis=1)
+    y = td_targets(nets, batch, identity_bounds())
+    losses, grads = critic_loss_grads(nets, batch.s, lat, y)
+    assert losses.dtype == np.float64 and losses.shape == (cfg.num_critics,)
+    stacked = entry_views(nets.critic, grads.copy())
+    for i in range(cfg.num_critics):
+        one = nk.ParameterSet({n: nets.critic[n][i]
+                               for n in nets.critic.names()}, nets.dtype)
+        t = nk.Tape()
+        sa = nk.const(np.concatenate([batch.s, lat], axis=1))
+        q = nk.mlp_apply(t, one.grad_vars(), sa)
+        loss = t.mean(t.sq_dist(q, y[:, None]))
+        t.backward(loss)
+        assert losses[i].tobytes() == loss.data.tobytes()
+        for name, g in entry_views(one, one.grad).items():
+            assert g.dtype == np.float32
+            assert g.tobytes() == stacked[name][i].tobytes(), (i, name)
 
 
 # ---- actor updates -----------------------------------------------------
@@ -465,7 +517,7 @@ def test_actor_update_zero_gradient_when_critic_ignores_action() -> None:
     spec, cfg, model, nets = small_setup()
     rng = np.random.default_rng(32)
     batch = consistent_batch(spec, model, 8, rng)
-    nets.critics[0]["W0"][:, spec.state_dim:] = 0.0  # Q blind to the action
+    nets.critic["W0"][0, :, spec.state_dim:] = 0.0  # Q_1 blind to the action
     before = nets.actor.flat.copy()
     actor_update(nets, batch, identity_bounds())
     assert np.array_equal(before, nets.actor.flat)
@@ -480,7 +532,7 @@ def test_actor_update_raises_q() -> None:
     def mean_q() -> float:
         raw = nets.actor_raw(batch.s)
         lat = b.rescale(raw)
-        return float(np.mean(nets.critic_value(0, batch.s, lat)))
+        return float(np.mean(nets.critic_values(batch.s, lat)[0]))
 
     before = mean_q()
     actor_update(nets, batch, b)
@@ -492,7 +544,7 @@ def test_actor_update_nonfinite_gradient_moves_nothing() -> None:
     rng = np.random.default_rng(36)
     batch = consistent_batch(spec, model, 8, rng)
     batch.s[0, 0] = np.nan
-    sets = [nets.actor, nets.target_actor, *nets.target_critics]
+    sets = [nets.actor, nets.target_actor, nets.target_critic]
     before = [p.flat.copy() for p in sets]
     actor_update(nets, batch, identity_bounds())
     assert nets.fault_count == 1 and nets.actor_updates == 0
@@ -507,8 +559,7 @@ def test_actor_update_tau_one_copies_targets() -> None:
     critic_update(nets, batch, identity_bounds())
     actor_update(nets, batch, identity_bounds())
     assert np.allclose(nets.target_actor.flat, nets.actor.flat)
-    for tc, c in zip(nets.target_critics, nets.critics):
-        assert np.allclose(tc.flat, c.flat)
+    assert np.allclose(nets.target_critic.flat, nets.critic.flat)
 
 
 def test_soft_updates_stay_in_convex_hull() -> None:
@@ -538,7 +589,7 @@ def test_update_sequence_deterministic() -> None:
             critic_update(nets, batch2, b)
             if step % cfg.policy_delay == 0:
                 actor_update(nets, batch2, b)
-        flats.append((nets.actor.flat.copy(), nets.critics[0].flat.copy()))
+        flats.append((nets.actor.flat.copy(), nets.critic.flat.copy()))
     assert np.array_equal(flats[0][0], flats[1][0])
     assert np.array_equal(flats[0][1], flats[1][1])
 
@@ -556,10 +607,11 @@ def test_nets_checkpoint_roundtrip() -> None:
     for slot in other.slots():
         slot.load(entries)
     assert np.array_equal(other.actor.flat, nets.actor.flat)
-    assert np.array_equal(other.critics[1].flat, nets.critics[1].flat)
+    assert np.array_equal(other.critic.flat, nets.critic.flat)
     assert np.array_equal(other.target_actor.flat, nets.target_actor.flat)
     assert other.opt_actor.t == nets.opt_actor.t
-    assert np.array_equal(other.opt_critics[0].m, nets.opt_critics[0].m)
+    assert np.array_equal(other.opt_critic.m, nets.opt_critic.m)
+    assert other.opt_critic.t == nets.opt_critic.t == 3
 
 
 def test_cached_frozen_vars_never_gain_a_grad() -> None:
@@ -569,8 +621,8 @@ def test_cached_frozen_vars_never_gain_a_grad() -> None:
     rng = np.random.default_rng(61)
     batch = consistent_batch(spec, model, 16, rng)
     b = identity_bounds()
-    sets = [nets.actor, nets.target_actor, *nets.critics,
-            *nets.target_critics, model.params]
+    sets = [nets.actor, nets.target_actor, nets.critic, nets.target_critic,
+            model.params]
     cached = [p.frozen_vars() for p in sets]
     for _ in range(2):
         critic_update(nets, batch, b)
@@ -602,15 +654,13 @@ def test_float32_gradients_track_float64() -> None:
         _spec, _cfg, m64, n64 = small_setup(seed=40)
         b64 = LatentBounds(np.full(D1 + D2, -1.5), np.full(D1 + D2, 2.0))
     for p32, p64 in ([(m32.params, m64.params), (n32.actor, n64.actor)]
-                     + list(zip(n32.critics, n64.critics))
-                     + list(zip(n32.target_critics, n64.target_critics))
+                     + [(n32.critic, n64.critic),
+                        (n32.target_critic, n64.target_critic)]
                      + [(n32.target_actor, n64.target_actor)]):
         p64.flat[...] = p32.flat  # the same weights, exactly
     b32 = LatentBounds(b64.lower, b64.upper)
     rng = np.random.default_rng(41)
-    cols = vars(consistent_batch(spec, m64, 32, rng)).values()
-    f32 = Batch(*(v.astype(np.float32) if v.dtype.kind == "f" else v
-                  for v in cols))
+    f32 = as_float32(consistent_batch(spec, m64, 32, rng))
     f64 = Batch(*(v.astype(np.float64) if v.dtype.kind == "f" else v
                   for v in vars(f32).values()))
     noise = rng.standard_normal((32, D2)).astype(np.float32)
@@ -618,8 +668,7 @@ def test_float32_gradients_track_float64() -> None:
     def grads(model, nets, bt, bounds):
         lat = np.concatenate([bt.e, bt.z], axis=1)
         y = td_targets(nets, bt, bounds)
-        out = {f"critic{i}": critic_loss_grads(nets, i, bt.s, lat, y)[1]
-               for i in range(2)}
+        out = {"critics": critic_loss_grads(nets, bt.s, lat, y)[1]}
         out["actor"] = actor_loss_grads(nets, bt.s, bounds)[1]
         out["repr"] = model.loss_grads(bt.s, bt.k, bt.x, bt.s_next, 10.0, 0.5,
                                        noise)[1]

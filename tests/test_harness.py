@@ -312,7 +312,7 @@ def test_training_keeps_every_gradient_in_its_vars_dtype(monkeypatch) -> None:
     f32 = np.dtype(np.float32)
     for arr in (tr.model.params.flat, tr.model.params.grad, tr.model.opt.m,
                 tr.model.mask_table, tr.nets.actor.grad, tr.nets.opt_actor.v,
-                tr.nets.target_critics[1].flat, tr.buffer.s, tr.buffer.r,
+                tr.nets.target_critic.flat, tr.buffer.s, tr.buffer.r,
                 tr.buffer.done, tr.bounds.lower):
         assert arr.dtype == f32
 
@@ -414,7 +414,7 @@ def test_trainer_checkpoint_roundtrip(tmp_path) -> None:
     back = Trainer.from_checkpoint(path)
     assert np.array_equal(back.model.params.flat, tr.model.params.flat)
     assert np.array_equal(back.nets.actor.flat, tr.nets.actor.flat)
-    assert np.array_equal(back.nets.critics[1].flat, tr.nets.critics[1].flat)
+    assert np.array_equal(back.nets.critic.flat, tr.nets.critic.flat)
     n = tr.buffer.size
     assert back.buffer.size == n and back.buffer.cursor == tr.buffer.cursor
     assert np.array_equal(back.buffer.s[:n], tr.buffer.s[:n])
@@ -445,11 +445,14 @@ def test_trainer_checkpoint_roundtrip(tmp_path) -> None:
         loaded = getattr(back.nets if owner is ddpg.nets else back, a)
         assert loaded == getattr(owner, a), a
         assert type(loaded) is type(getattr(owner, a)), a
-    for trainer, n_entries in ((tr, 89), (ddpg, 74)):
+    for trainer in (tr, ddpg):
         trainer.save_checkpoint(first)
         Trainer.from_checkpoint(first).save_checkpoint(again)
         entries = nk.load_checkpoint(first)
-        assert len(entries) == n_entries
+        assert len(entries) == 74  # one critic.* stack for TD3 and DDPG
+        n = trainer.nets.config.num_critics
+        assert entries["critic.W0"].shape[0] == n
+        assert entries["target_critic.b2"].shape == (n, 1)
         assert entries["state.scalars"].shape == (15,)
         assert entries["state.acc"].shape == (10,)
         assert open(first, "rb").read() == open(again, "rb").read()
@@ -831,6 +834,42 @@ def test_cli_eval_ckpt2_file_exits_4_naming_its_tag(tmp_path, capsys) -> None:
     assert cli_main(["eval", "--ckpt", old, "--episodes", "1",
                      "--seed", "0"]) == 4
     assert "HYAR-CKPT-2" in capsys.readouterr().err
+
+
+def _epoch2_critics(d: dict, epoch: int = 2) -> None:
+    """Store the critics as bits epoch 2 did, one critic{i}.* set (and one
+    Adam state) per critic, and stamp the entries with `epoch`."""
+    names = [k.split(".", 1)[1] for k in d if k.startswith("critic.")]
+    n = d["critic.W0"].shape[0]
+    for pre in ("critic", "target_critic"):
+        for name in names:
+            arr = d.pop(f"{pre}.{name}")
+            d.update({f"{pre}{i}.{name}": arr[i] for i in range(n)})
+    cuts = np.cumsum([d[f"critic0.{name}"].size * n for name in names])[:-1]
+    for mom in ("m", "v"):
+        parts = np.split(d.pop(f"opt_critic.{mom}"), cuts)
+        for i in range(n):
+            d[f"opt_critic{i}.{mom}"] = np.concatenate(
+                [p.reshape(n, -1)[i] for p in parts])
+    t = d.pop("opt_critic.t")
+    d.update({f"opt_critic{i}.t": t for i in range(n)})
+    d["bits_epoch"] = np.float64(epoch)
+
+
+def test_cli_eval_epoch2_checkpoint_exits_4_naming_its_epoch(tmp_path,
+                                                           capsys) -> None:
+    """A checkpoint of bits epoch 2, with its critic{i}.* entries, is an I/O
+    error naming that epoch; stamped with the current epoch, the per-critic
+    layout is still refused."""
+    _tr, out, _summary = tiny_run()
+    old = str(tmp_path / "old.ckpt")
+    for epoch, says in ((2, "bits_epoch: 2.0"), (nk.BITS_EPOCH, "critic.W0")):
+        _entries_edit(lambda d: _epoch2_critics(d, epoch))(
+            os.path.join(out, "final.ckpt"), old)
+        assert len(nk.load_checkpoint(old)) == 89
+        assert cli_main(["eval", "--ckpt", old, "--episodes", "1",
+                         "--seed", "0"]) == 4
+        assert says in capsys.readouterr().err
 
 
 def _tiny_ckpt() -> tuple[bytes, int]:

@@ -227,6 +227,71 @@ def test_width_one_affine_matches_matmul_bit_for_bit(in_dim, out_dim,
     assert bv.grad.tobytes() == np.sum(g, axis=0).tobytes()
 
 
+def _entries(params: nk.ParameterSet, flat: np.ndarray) -> dict:
+    """name -> the slice of flat (in params' layout) holding that entry."""
+    out, off = {}, 0
+    for name in params.names():
+        out[name] = flat[off:off + params[name].size].reshape(params[name].shape)
+        off += params[name].size
+    return out
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-x", "stacked-x"])
+@pytest.mark.parametrize("in_dim,out_dim", [(18, 256), (256, 256), (256, 1),
+                                            (1, 256)])
+def test_stacked_affine_matches_each_slice_bit_for_bit(shared, in_dim,
+                                                       out_dim) -> None:
+    """A stack of two float32 layers gives each slice the output, weight,
+    bias and input gradient bytes of that slice's 2-D affine, on record and
+    no-record tapes, its parameter gradients written into a ParameterSet's
+    flat .grad as in training.  The input is shared (batch, in_dim), with
+    no gradient, or stacked (2, batch, in_dim)."""
+    n, B = 2, 128
+    rng = np.random.default_rng(29)
+    stack = nk.ParameterSet({"W": rng.normal(size=(n, out_dim, in_dim)),
+                             "b": rng.normal(size=(n, out_dim))}, np.float32)
+    x = rng.normal(size=(B, in_dim) if shared else (n, B, in_dim))
+    x = x.astype(np.float32)
+    g = rng.normal(size=(n, B, out_dim)).astype(np.float32)
+
+    def run(params, x, g):
+        t = nk.Tape()
+        pv, fv = params.grad_vars(), params.frozen_vars()
+        xv = nk.const(x) if shared else nk.leaf(x.copy())
+        y = t.affine(xv, pv["W"], pv["b"])
+        y_norecord = nk.Tape(record=False).affine(nk.const(x), fv["W"],
+                                                  fv["b"])
+        assert y_norecord.data.tobytes() == y.data.tobytes()
+        t.backward(y, seed=g)
+        return y.data, _entries(params, params.grad), xv.grad
+
+    y, grads, gx = run(stack, x, g)
+    assert y.shape == (n, B, out_dim) and (gx is None) == shared
+    for k in range(n):
+        one = nk.ParameterSet({"W": stack["W"][k], "b": stack["b"][k]},
+                              np.float32)
+        y1, grads1, gx1 = run(one, x if shared else x[k], g[k].copy())
+        assert y1.tobytes() == y[k].tobytes()
+        for name in ("W", "b"):
+            assert grads1[name].tobytes() == grads[name][k].tobytes(), name
+        if not shared:
+            assert gx1.tobytes() == gx[k].tobytes()
+
+
+def test_stacked_affine_input_shapes() -> None:
+    """Stacked layers take one input per layer, or one shared input that
+    needs no gradient (a stop Var, or any input on a no-record tape)."""
+    w, b = nk.leaf(np.ones((2, 4, 3))), nk.leaf(np.ones((2, 4)))
+    with pytest.raises(nk.ShapeError):
+        nk.Tape().affine(nk.leaf(np.ones((5, 3))), w, b)
+    with pytest.raises(nk.ShapeError):  # three inputs for two layers
+        nk.Tape().affine(nk.leaf(np.ones((3, 5, 3))), w, b)
+    for t in (nk.Tape(), nk.Tape(record=False)):
+        assert t.affine(nk.const(np.ones((5, 3))), w, b).shape == (2, 5, 4)
+    assert nk.Tape(record=False).affine(nk.leaf(np.ones((5, 3))), w,
+                                        b).shape == (2, 5, 4)
+
+
 def test_stop_vars_never_gain_a_grad() -> None:
     """A stop Var is skipped by every op that accumulates into its input."""
     rng = np.random.default_rng(5)
