@@ -3,7 +3,7 @@
     python3 scripts/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts REV's src/ with `git archive` into a temporary
-directory, then trains five tiny configurations once with each side's src/
+directory, then trains six tiny configurations once with each side's src/
 on PYTHONPATH, at one BLAS thread and with the same --out path (the path is
 written into the checkpoint's config entry).  For each configuration it
 compares metrics.csv, eval.csv, run-manifest.txt and final.ckpt byte for
@@ -12,22 +12,24 @@ line, which names the code and so differs whenever src/ does.  When the
 final.ckpt bytes differ, the line also says whether the decoded states are
 identical: each side loads its own file with its own src/ in a subprocess
 and digests every entry as float64, as perfbench's state_digest does (the
-config entry included, since both sides write the same --out path).  Then,
-for platform-td3 and for platform-ddpg (a critic stack of one, and an
-actor step after every critic step), it trains the run again on each side,
-resumes it from its own final.ckpt to RESUME_STEPS (`train --resume
-OUT/final.ckpt --steps RESUME_STEPS`, which continues in OUT) and compares
-the four files once more: seven legs in all.  Last it prints the bits
-epoch of each side, read from the `bits_epoch` line of its
-run-manifest.txt (a manifest without one is epoch 0), and the src/ line
-count of REV and of the working tree, counted as `find src -name '*.py' |
-xargs cat | wc -l` counts them.
+config entry included, since both sides write the same --out path).  The
+hard_move legs (K = 256 and 1024 table rows) are where repair_rows skips
+most of its collision scans.  Then, for platform-td3, platform-ddpg (a
+critic stack of one, and an actor step after every critic step) and
+hard_move8-td3 (whose repair skip restarts from the fresh model's table
+after the load), it trains the run again on each side, resumes it from its
+own final.ckpt to RESUME_STEPS (`train --resume OUT/final.ckpt --steps
+RESUME_STEPS`, which continues in OUT) and compares the four files once
+more: nine legs in all.  Last it prints the bits epoch of each side, read
+from the `bits_epoch` line of its run-manifest.txt (a manifest without one
+is epoch 0), and the src/ line count of REV and of the working tree,
+counted as `find src -name '*.py' | xargs cat | wc -l` counts them.
 
 Exit status 1 means a run failed, or some file differs while both sides
 are of the same bits epoch, whether or not the decoded states match: a
 change that alters the bits must bump numkit's BITS_EPOCH.  When the
 epochs differ, every difference is still printed, and the status is 0
-unless a run failed.  Each run takes a few seconds on one core.  Five tiny
+unless a run failed.  Each run takes a few seconds on one core.  Six tiny
 runs can miss a divergence that shows only in long runs: the float64 GEMM
 nearest-row decoding printed identical here, yet 200k-step platform runs
 of seeds 1 and 2 left their earlier bits at their 50k and 20k evals.
@@ -55,8 +57,11 @@ CONFIGS = {
     "goal-td3": {"env.id": "goal", "run.algo": "hyar-td3"},
     "hard_move8-td3": {"env.id": "hard_move", "env.n": 8,
                        "run.algo": "hyar-td3"},
+    "hard_move10-td3": {"env.id": "hard_move", "env.n": 10,
+                        "run.algo": "hyar-td3"},
 }
-RESUMED, RESUME_STEPS = ("platform-td3", "platform-ddpg"), 1200
+RESUMED = ("platform-td3", "platform-ddpg", "hard_move8-td3")
+RESUME_STEPS = 1200
 DIGEST = """
 import hashlib, sys
 import numpy as np

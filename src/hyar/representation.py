@@ -72,6 +72,26 @@ ROW_COLLISION_DIST = 1e-6
 ROW_REPAIR_NOISE = 0.01
 
 
+def closest_rows(t: np.ndarray) -> tuple[int, int, float, float]:
+    """(i, j, d2, r2) over the float64 rows of t: the first pair at the
+    smallest Gram-form squared distance d2 (inf for a single row) and the
+    largest squared row norm r2."""
+    g = t @ t.T
+    norms = np.diag(g)
+    sq = norms[:, None] + norms[None, :] - 2.0 * g
+    np.fill_diagonal(sq, np.inf)
+    i, j = np.unravel_index(np.argmin(sq), sq.shape)
+    return int(i), int(j), float(sq[i, j]), float(norms.max())
+
+
+def gram_rounding(d: int, r: float) -> float:
+    """Margin on the rounding of a float64 Gram-form squared distance
+    between rows of d entries and norm at most r: eight times the standard
+    bound gamma_{d+2} (|t_i| + |t_j|)^2 ~ 2 (d+2) eps r^2, the spare covering
+    the few-eps rounding of the skip bound itself."""
+    return 16.0 * (d + 2) * np.finfo(np.float64).eps * r * r
+
+
 class ReprModel:
     """Embedding table, encoder q_phi, decoder/prediction p_psi and the losses."""
 
@@ -113,6 +133,7 @@ class ReprModel:
             self.mask_table[k, :pd] = 1.0
         self._decode_key = None  # table bytes behind _decode_terms
         self._decode_terms = None
+        self._repair_ref = None  # (table copy, distance floor, max row norm)
         self.repair_rows(rng)
 
     # ---- parameter grouping (zeta / phi / psi0 / psi1 / psi2) ----------
@@ -159,16 +180,35 @@ class ReprModel:
     def repair_rows(self, rng: np.random.Generator) -> int:
         """Re-perturb colliding rows until all pairwise distances exceed the
         threshold.  Returns the number of perturbations applied.  Distances
-        are taken in float64: Gram-form float32 ones err by about 1e-7."""
+        are taken in float64: Gram-form float32 ones err by about 1e-7.
+
+        A scan that ends keeps a float64 copy of the table, its largest row
+        norm r and a floor under its true smallest row distance (the
+        smallest found, less gram_rounding).  While the largest row move m
+        since that copy leaves (floor - 2m)^2 - gram_rounding(d1, r + m)
+        above the threshold squared, no pair can be closer than floor - 2m
+        (triangle inequality) and no row norm above r + m, so the scan would
+        find no collision and draw nothing: the call returns 0 without it,
+        and every byte stays.  Measuring moves against the copy keeps this
+        right after any table write (Adam, this repair, a checkpoint load);
+        a non-finite move falls through to the scan."""
         E = self.table
+        if self._repair_ref is not None:
+            ref, floor, r = self._repair_ref
+            diff = E.astype(np.float64) - ref
+            move = float(np.sqrt(np.max(np.einsum("kd,kd->k", diff, diff))))
+            gap = floor - 2.0 * move
+            if gap > 0.0 and gap * gap - gram_rounding(self.d1, r + move) \
+                    > ROW_COLLISION_DIST ** 2:
+                return 0
         fixes = 0
         while True:
             E64 = E.astype(np.float64)
-            g = E64 @ E64.T
-            sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-            np.fill_diagonal(sq, np.inf)
-            i, j = np.unravel_index(np.argmin(sq), sq.shape)
-            if sq[i, j] > ROW_COLLISION_DIST ** 2:
+            i, j, d2, r2 = closest_rows(E64)
+            if d2 > ROW_COLLISION_DIST ** 2:
+                r = np.sqrt(r2)
+                floor = np.sqrt(max(d2 - gram_rounding(self.d1, r), 0.0))
+                self._repair_ref = (E64, floor, r)
                 return fixes
             row = max(i, j)
             E[row] += rng.uniform(-ROW_REPAIR_NOISE, ROW_REPAIR_NOISE,

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hyar import numkit as nk
+from hyar import representation
 from hyar.envs import EnvSpec
-from hyar.representation import (ROW_COLLISION_DIST, LatentBounds, ReprModel,
-                                 percentile_pair)
+from hyar.representation import (ROW_COLLISION_DIST, ROW_REPAIR_NOISE,
+                                 LatentBounds, ReprModel, percentile_pair)
 
 from _synth import SyntheticLinear, synth_spec
 
@@ -140,6 +141,139 @@ def test_repair_rows_restores_distinctness() -> None:
     fixes = m.repair_rows(np.random.default_rng(9))
     assert fixes >= 1
     assert m.nn_decode_batch(m.table).tolist() == list(range(5))
+
+
+def _repair_every_call(E: np.ndarray, rng: np.random.Generator) -> int:
+    """repair_rows without the skip: a full float64 Gram scan every call."""
+    fixes = 0
+    while True:
+        E64 = E.astype(np.float64)
+        g = E64 @ E64.T
+        sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
+        np.fill_diagonal(sq, np.inf)
+        i, j = np.unravel_index(np.argmin(sq), sq.shape)
+        if sq[i, j] > ROW_COLLISION_DIST ** 2:
+            return fixes
+        E[max(i, j)] += rng.uniform(-ROW_REPAIR_NOISE, ROW_REPAIR_NOISE,
+                                    size=E.shape[1])
+        fixes += 1
+
+
+def _scan_counter(monkeypatch) -> list:
+    """Count repair_rows' full scans: the returned list grows by one each."""
+    scans, real = [], representation.closest_rows
+    monkeypatch.setattr(representation, "closest_rows",
+                        lambda t: scans.append(1) or real(t))
+    return scans
+
+
+@pytest.mark.parametrize("K", [256, 1024])
+def test_repair_rows_skip_matches_a_scan_every_call(K, tmp_path,
+                                                    monkeypatch) -> None:
+    """Two like-built models, one repairing with the skip and one with a
+    scan every call, pass through repr_train_batch steps, a whole-table
+    checkpoint load and rows set 0.5 and 1.5 x ROW_COLLISION_DIST from
+    another row: table bytes, fix counts and generator state stay equal,
+    and the skip leaves out scans."""
+    spec = EnvSpec(env_id="t", state_dim=4, num_discrete=K,
+                   param_dims=(2,) * K, horizon=10)
+    fast, ref = (ReprModel(spec, d1=6, d2=6, rng=np.random.default_rng(20))
+                 for _ in range(2))
+    rngs = {id(fast): np.random.default_rng(21),
+            id(ref): np.random.default_rng(21)}
+    fixes = {id(fast): [], id(ref): []}
+    skip_repair = fast.repair_rows
+    fast.repair_rows = lambda rng: fixes[id(fast)].append(skip_repair(rng))
+    ref.repair_rows = lambda rng: fixes[id(ref)].append(
+        _repair_every_call(ref.table, rng))
+    other = ReprModel(spec, d1=6, d2=6, rng=np.random.default_rng(22))
+    path = str(tmp_path / "repr.ckpt")
+    nk.save_checkpoint(path, nk.gather(other.params.slots("repr")))
+    scans = _scan_counter(monkeypatch)
+
+    def train_steps(m, n):
+        rng = rngs[id(m)]
+        for _ in range(n):
+            s = rng.uniform(-1, 1, size=(32, 4))
+            m.repr_train_batch(s, rng.integers(K, size=32),
+                               rng.uniform(-1, 1, size=(32, 2)),
+                               s + 0.1 * rng.normal(size=s.shape), rng)
+
+    def load_other(m):
+        entries = nk.load_checkpoint(path)
+        for slot in m.params.slots("repr"):
+            slot.load(entries)
+        m.repair_rows(rngs[id(m)])
+
+    def place_near(scale):
+        def place(m):
+            u = np.random.default_rng(23).normal(size=6)
+            m.params["table"][7] = m.table[3] + scale * ROW_COLLISION_DIST \
+                * u / np.linalg.norm(u)
+            m.repair_rows(rngs[id(m)])
+        return place
+
+    stages = [lambda m: train_steps(m, 12), load_other,
+              lambda m: train_steps(m, 12), place_near(0.5),
+              lambda m: train_steps(m, 4), place_near(1.5),
+              lambda m: train_steps(m, 4)]
+    for stage in stages:
+        for m in (fast, ref):
+            stage(m)
+        assert fast.table.tobytes() == ref.table.tobytes()
+        assert fixes[id(fast)] == fixes[id(ref)]
+        assert rngs[id(fast)].bit_generator.state \
+            == rngs[id(ref)].bit_generator.state
+    calls = fixes[id(fast)]
+    assert calls[12] == 0 and calls[25] >= 1 and calls[30] == 0
+    assert len(scans) < len(calls)
+
+
+def test_repair_rows_skips_the_scan_while_rows_stay_apart(
+        monkeypatch) -> None:
+    """At K=256 and the default learning rate, 50 training steps move no
+    row far enough to need a scan on most calls; a row written onto
+    another one brings the scan back, once per fix and once to confirm."""
+    K = 256
+    spec = EnvSpec(env_id="t", state_dim=4, num_discrete=K,
+                   param_dims=(2,) * K, horizon=10)
+    m = ReprModel(spec, d1=6, d2=6, rng=np.random.default_rng(30))
+    scans = _scan_counter(monkeypatch)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        s = rng.uniform(-1, 1, size=(32, 4))
+        m.repr_train_batch(s, rng.integers(K, size=32),
+                           rng.uniform(-1, 1, size=(32, 2)), s, rng)
+    assert len(scans) <= 5
+    before = len(scans)
+    m.params["table"][9] = m.table[4]
+    fixes = m.repair_rows(rng)
+    assert fixes >= 1 and len(scans) == before + fixes + 1
+    assert m.nn_decode_batch(m.table).tolist() == list(range(K))
+
+
+def test_repair_rows_walks_a_row_onto_another_like_a_scan_every_call(
+        monkeypatch) -> None:
+    """Row 1 walks onto row 0 from 0.01 away in 40 equal steps, each
+    followed by a repair: the skip leaves out scans while the walk is far
+    from row 0, and table bytes, fix counts and generator state match a
+    scan every call at each step, the last one a collision."""
+    spec = EnvSpec(env_id="t", state_dim=4, num_discrete=64,
+                   param_dims=(2,) * 64, horizon=10)
+    fast, ref = (ReprModel(spec, d1=6, d2=6, rng=np.random.default_rng(40))
+                 for _ in range(2))
+    fast_rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    u = np.random.default_rng(42).normal(size=6)
+    u *= 0.01 / np.linalg.norm(u)
+    scans = _scan_counter(monkeypatch)
+    for step in range(41):
+        for m in (fast, ref):
+            m.params["table"][1] = m.table[0] + (1.0 - step / 40) * u
+        got = fast.repair_rows(fast_rng)
+        assert got == _repair_every_call(ref.table, ref_rng)
+        assert fast.table.tobytes() == ref.table.tobytes()
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got >= 1 and len(scans) <= 10
 
 
 def test_encode_zero_params_and_determinism() -> None:
