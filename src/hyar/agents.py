@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import numkit as nk
-from .errors import ConfigError, check_finite_floats
+from .errors import ConfigError, check_settings, setting
 from .envs import HybridAction
 from .representation import LatentBounds, ReprModel
 
@@ -28,37 +28,25 @@ class AgentConfig:
     """Hyperparameters for the latent policy and its training rules."""
 
     algo: str = "td3"
-    gamma: float = 0.99
-    actor_lr: float = 3e-4
-    critic_lr: float = 3e-4
-    tau_actor: float = 5e-3
-    tau_critic: float = 5e-3
-    expl_sigma: float = 0.1
-    batch_size: int = 128
-    policy_delay: int = 2
-    buffer_capacity: int = 100_000
-    target_noise: float = 0.0  # optional TD3 target smoothing, off by default
-    target_noise_clip: float = 0.5
-    rsc_noise: float = 0.1
-    rsc_redraws: int = 8
-    rsc_threshold_mult: float = 4.0
+    gamma: float = setting(0.99, atleast=0.0, below=1.0)
+    actor_lr: float = setting(3e-4, above=0.0)
+    critic_lr: float = setting(3e-4, above=0.0)
+    tau_actor: float = setting(5e-3, above=0.0, upto=1.0)
+    tau_critic: float = setting(5e-3, above=0.0, upto=1.0)
+    expl_sigma: float = setting(0.1, above=0.0)
+    batch_size: int = setting(128, atleast=1)
+    policy_delay: int = setting(2, atleast=1)
+    buffer_capacity: int = setting(100_000, atleast=1)
+    target_noise: float = setting(0.0, atleast=0.0)  # 0: no target smoothing
+    target_noise_clip: float = setting(0.5, above=0.0)
+    rsc_noise: float = setting(0.1, atleast=0.0)
+    rsc_redraws: int = setting(8, atleast=0)
+    rsc_threshold_mult: float = setting(4.0, above=0.0)
 
     def __post_init__(self):
-        check_finite_floats(self)
+        check_settings(self)
         if self.algo not in ("td3", "ddpg"):
             raise ConfigError(f"unknown algo {self.algo!r}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
-        for name in ("actor_lr", "critic_lr", "tau_actor", "tau_critic",
-                     "expl_sigma", "target_noise_clip", "rsc_threshold_mult"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("target_noise", "rsc_noise", "rsc_redraws"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("batch_size", "policy_delay", "buffer_capacity"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
     @classmethod
     def td3(cls, **kw) -> "AgentConfig":
@@ -337,16 +325,16 @@ def critic_loss_grads(nets: AgentNets, s: np.ndarray, lat: np.ndarray,
 
 
 def actor_loss_grads(nets: AgentNets, s: np.ndarray, bounds: LatentBounds):
-    """(loss, actor .grad) of -mean Q_1(s, rescale(actor(s))); the gradient
-    flows through the rescale."""
+    """(loss, actor .grad) of -mean Q_1(s, rescale(actor(s))), the mean run
+    backward from seed -1; the gradient flows through the rescale."""
     t = nk.Tape()
     raw = t.tanh(nk.mlp_apply(t, nets.actor.grad_vars(), nk.const(s)))
     lat = t.rescale(raw, bounds.scale, bounds.shift)
     sa = t.concat([nk.const(s), lat])
     q = nk.mlp_apply(t, nets.q1, sa)
-    loss = t.neg_mean(q)
-    t.backward(loss)
-    return float(loss.data), nets.actor.grad
+    mean_q = t.mean(q)
+    t.backward(mean_q, seed=np.float64(-1.0))
+    return -float(mean_q.data), nets.actor.grad
 
 
 def td_targets(nets: AgentNets, batch: Batch, bounds: LatentBounds,

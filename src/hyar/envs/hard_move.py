@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import EnvSpec, HybridEnv, StepResult
 
 ACTUATOR_GAIN = 0.05
@@ -18,7 +19,7 @@ TARGET_NORM = (0.4, 0.9)
 
 def hard_move_spec(n: int) -> EnvSpec:
     if not 1 <= n <= 12:
-        raise ValueError(f"hard_move needs 1 <= n <= 12, got {n}")
+        raise ConfigError(f"hard_move needs 1 <= n <= 12, got {n}")
     return EnvSpec(env_id="hard_move", state_dim=4, num_discrete=2 ** n,
                    param_dims=(n,) * (2 ** n), horizon=25)
 

@@ -1,24 +1,21 @@
-"""Run configuration: typed flat keys, file parsing, per-env warm-up defaults.
+"""Run configuration: typed flat keys with their ranges, and file parsing.
 
 Config files are UTF-8 text, one `section.key = value` per line, `#` comments.
 CLI flags override file values.  Each `env.*`, `run.*` and `repr.*` key is
-declared on its RunConfig field; the `agent.*` keys are the fields of
-AgentConfig, whose values default to the chosen algorithm's preset.
+declared on its RunConfig field, with its default, parser and range; the
+`agent.*` keys are the fields of AgentConfig, whose values default to the
+chosen algorithm's preset.  The warm-up default comes from the env table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
 from ..agents import AgentConfig
-from ..envs import make
-from ..errors import ConfigError, check_finite_floats
+from ..envs import ENVS, make
+from ..errors import ConfigError, check_settings, setting
 
 # run.algo value -> agent preset
 ALGOS = {"hyar-td3": AgentConfig.td3, "hyar-ddpg": AgentConfig.ddpg}
-
-# warm-up step budgets per environment (reduced "new" budgets)
-WARMUP_DEFAULTS = {"platform": 5000, "goal": 5000, "hard_goal": 5000,
-                   "catch_point": 20000, "hard_move": 20000}
 
 
 def _optional(kind):
@@ -28,10 +25,10 @@ def _optional(kind):
     return parse
 
 
-def _key(key: str, default, parse=None):
-    """RunConfig field set by `key`, read by `parse` or type(default)."""
-    return field(default=default,
-                 metadata={"key": key, "parse": parse or type(default)})
+def _key(key: str, default, parse=None, **bounds):
+    """RunConfig field set by `key`, read by `parse` or type(default), whose
+    value must keep `bounds` (see errors.setting)."""
+    return setting(default, key=key, parse=parse or type(default), **bounds)
 
 
 @dataclass
@@ -42,29 +39,29 @@ class RunConfig:
     env_id: str = _key("env.id", "platform")
     env_n: int | None = _key("env.n", None, _optional(int))
     algo: str = _key("run.algo", "hyar-td3")
-    seed: int = _key("run.seed", 0)
+    seed: int = _key("run.seed", 0, atleast=0)
     total_env_steps: int = _key("run.total_env_steps", 200_000)
     warmup_env_steps: int | None = _key("run.warmup_env_steps", None,
                                         _optional(int))
-    eval_interval: int = _key("run.eval_interval", 5000)
-    eval_episodes: int = _key("run.eval_episodes", 100)
+    eval_interval: int = _key("run.eval_interval", 5000, atleast=1)
+    eval_episodes: int = _key("run.eval_episodes", 100, atleast=1)
     out_dir: str = _key("run.out_dir", "runs/out")
-    d1: int = _key("repr.d1", 6)
-    d2: int = _key("repr.d2", 6)
-    repr_lr: float = _key("repr.lr", 1e-4)
-    c: float = _key("repr.c", 96.0)
-    beta: float = _key("repr.beta", 10.0)
-    kl_weight: float = _key("repr.kl_weight", 0.5)
-    pretrain_batches: int = _key("repr.pretrain_batches", 5000)
-    repr_batch: int = _key("repr.batch", 64)
-    repr_every_episodes: int = _key("repr.every_episodes", 10)
-    ema_decay: float = _key("repr.ema_decay", 0.99)
+    d1: int = _key("repr.d1", 6, atleast=1)
+    d2: int = _key("repr.d2", 6, atleast=1)
+    repr_lr: float = _key("repr.lr", 1e-4, above=0.0)
+    c: float = _key("repr.c", 96.0, above=0.0, upto=100.0)
+    beta: float = _key("repr.beta", 10.0, atleast=0.0)
+    kl_weight: float = _key("repr.kl_weight", 0.5, atleast=0.0)
+    pretrain_batches: int = _key("repr.pretrain_batches", 5000, atleast=0)
+    repr_batch: int = _key("repr.batch", 64, atleast=1)
+    repr_every_episodes: int = _key("repr.every_episodes", 10, atleast=1)
+    ema_decay: float = _key("repr.ema_decay", 0.99, above=0.0, below=1.0)
     agent: dict = field(default_factory=dict)
 
     def warmup(self) -> int:
         if self.warmup_env_steps is not None:
             return self.warmup_env_steps
-        return WARMUP_DEFAULTS[self.env_id]
+        return ENVS[self.env_id][1]
 
     def agent_config(self) -> AgentConfig:
         if self.algo not in ALGOS:
@@ -74,23 +71,10 @@ class RunConfig:
                                    if v is not None})
 
     def validate(self) -> None:
-        check_finite_floats(self)
+        """Ranges on fields, then the checks that span fields."""
+        check_settings(self)
         make(self.env_id, self.env_n)  # raises ConfigError itself
         acfg = self.agent_config()
-        for key in ("run.seed", "repr.pretrain_batches", "repr.beta",
-                    "repr.kl_weight"):
-            if getattr(self, KEYS[key][0]) < 0:
-                raise ConfigError(f"{key} must be >= 0")
-        for key in ("run.eval_interval", "run.eval_episodes", "repr.d1",
-                    "repr.d2", "repr.batch", "repr.every_episodes"):
-            if getattr(self, KEYS[key][0]) < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if self.repr_lr <= 0.0:
-            raise ConfigError("repr.lr must be positive")
-        if not 0.0 < self.c <= 100.0:
-            raise ConfigError(f"repr.c must lie in (0, 100], got {self.c}")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ConfigError("repr.ema_decay must lie in (0, 1)")
         warm = self.warmup()
         if not 0 < warm < self.total_env_steps:
             raise ConfigError(

@@ -5,9 +5,10 @@ reverse, so no topological sort is needed.  Every op returns a fresh Var and,
 on a recording tape, appends a closure that routes the output adjoint to the
 parents.  Ops compute in the dtype of their inputs and never cast: a model's
 float32 parameters and inputs give float32 arithmetic, float64 ones float64.
-Scalar losses (mean, neg_mean) are 0-d float64 values, and their backward
-casts the incoming adjoint to the input's dtype before it meets an array;
-a mean squared error is mean(sq_dist(pred, target)).  A tape built with
+The scalar loss, mean, is a 0-d float64 value, and its backward casts
+the incoming adjoint to the input's dtype before it meets an array; a mean
+squared error is mean(sq_dist(pred, target)), and a negated mean is a mean
+run backward from seed -1.  A tape built with
 record=False runs the same forward expression and returns its output at
 once: it builds no backward closures and keeps no list, so inference pays
 only for the forward arithmetic.
@@ -262,15 +263,6 @@ class Tape:
         if self.record:
             def back(g, x=x, n=np.size(x.data)):
                 _acc(x, np.full(np.shape(x.data), g / n,
-                                dtype=x.data.dtype))
-            self._steps.append((out, back))
-        return out
-
-    def neg_mean(self, x: Var) -> Var:
-        out = Var(np.float64(-np.mean(x.data)))
-        if self.record:
-            def back(g, x=x, n=np.size(x.data)):
-                _acc(x, np.full(np.shape(x.data), -g / n,
                                 dtype=x.data.dtype))
             self._steps.append((out, back))
         return out

@@ -81,6 +81,30 @@ def test_config_validation() -> None:
         AgentConfig(policy_delay=0)
 
 
+# Every bounded AgentConfig field, written out by hand: a list derived from
+# the declarations could not notice a bound that is missing from them.
+@pytest.mark.parametrize("name,value", [
+    ("gamma", -1e-9), ("gamma", 1.0), ("actor_lr", 0.0), ("critic_lr", 0.0),
+    ("tau_actor", 0.0), ("tau_actor", 1.0 + 1e-9), ("tau_critic", 0.0),
+    ("tau_critic", 1.0 + 1e-9), ("expl_sigma", 0.0), ("batch_size", 0),
+    ("policy_delay", 0), ("buffer_capacity", 0), ("target_noise", -1e-9),
+    ("target_noise_clip", 0.0), ("rsc_noise", -1e-9), ("rsc_redraws", -1),
+    ("rsc_threshold_mult", 0.0)])
+def test_every_agent_bound_refuses_a_value_just_outside(name, value) -> None:
+    for preset in (AgentConfig.td3, AgentConfig.ddpg):
+        with pytest.raises(ConfigError, match=name):
+            preset(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("gamma", 0.0), ("tau_actor", 1.0), ("tau_critic", 1.0),
+    ("batch_size", 1), ("policy_delay", 1), ("buffer_capacity", 1),
+    ("target_noise", 0.0), ("rsc_noise", 0.0), ("rsc_redraws", 0)])
+def test_every_closed_agent_bound_accepts_its_edge(name, value) -> None:
+    for preset in (AgentConfig.td3, AgentConfig.ddpg):
+        assert getattr(preset(**{name: value}), name) == value
+
+
 # ---- replay buffer -----------------------------------------------------
 
 def make_buffer(capacity: int = 8) -> ReplayBuffer:

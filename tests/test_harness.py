@@ -110,9 +110,32 @@ def test_every_run_config_bound_is_checked(key, value) -> None:
 
 @pytest.mark.parametrize("key,value", [
     ("run.seed", 0), ("repr.beta", 0.0), ("repr.c", 100.0),
-    ("repr.pretrain_batches", 0), ("agent.buffer_capacity", 128)])
+    ("repr.pretrain_batches", 0), ("agent.buffer_capacity", 128),
+    ("run.eval_interval", 1), ("run.eval_episodes", 1), ("repr.d1", 1),
+    ("repr.d2", 1), ("repr.kl_weight", 0.0), ("repr.batch", 1),
+    ("repr.every_episodes", 1), ("agent.tau_actor", 1.0),
+    ("agent.tau_critic", 1.0)])
 def test_run_config_boundary_values_validate(key, value) -> None:
     build_config(overrides={key: value}).validate()
+
+
+@pytest.mark.parametrize("key", ["agent.tau_actor", "agent.tau_critic"])
+def test_tau_above_one_exits_2(tmp_path, key) -> None:
+    """Polyak averaging needs tau in (0, 1]: 1.5 is a config error, from
+    Python and from a config file alike, and nothing is written."""
+    with pytest.raises(ConfigError, match=key.split(".")[1]):
+        build_config(overrides={key: 1.5}).validate()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = 1.5\n")
+    out = tmp_path / "never"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("n", [0, 13])
+def test_hard_move_n_out_of_range_is_a_config_error(n) -> None:
+    with pytest.raises(ConfigError, match="1 <= n <= 12"):
+        build_config(overrides={"env.id": "hard_move", "env.n": n}).validate()
 
 
 @pytest.mark.parametrize("key,value", [
